@@ -1,28 +1,24 @@
-// Self-timing harness for the two perf claims this repo makes about its own
-// substrate (BENCH_perf.json is produced by this binary):
+// Smoke guards for the simulator's own substrate, run by CI's trace-smoke
+// job (the simulator's wall time and memory are benchmarked by perfbench/,
+// see perfbench/NOTES.md):
 //
-//   1. event-loop throughput — the slab/batched simulator vs a faithful
-//      in-process replica of the previous loop (std::function events in a
-//      std::priority_queue, copy-out of top()). Shared-host wall clocks are
-//      noisy, so the two loops run interleaved, rep by rep, and the ratio is
-//      taken best-of-N: adjacent measurements see the same machine weather.
-//   2. sweep fan-out — wall time of a toy bandwidth_sweep at --threads 1 vs
+//   1. sweep fan-out — wall time of a toy bandwidth_sweep at --threads 1 vs
 //      --threads N, plus a check that both produce bit-identical Series
 //      (the determinism guarantee the parallel runner documents).
-//   3. observability guard — a cluster run with a tracer attached but
+//   2. observability guard — a cluster run with a tracer attached but
 //      disabled must stay within 2% of the same run with no tracer at all
-//      (src/obs promises "pay only for what you record").
-//   4. critpath guard — causal-graph construction + blame walk over a
+//      (src/obs promises "pay only for what you record"). Shared-host wall
+//      clocks are noisy, so the two runs interleave, rep by rep, and the
+//      ratio is taken best-of-N: adjacent measurements see the same machine
+//      weather.
+//   3. critpath guard — causal-graph construction + blame walk over a
 //      recorded trace must sustain a fixed events/sec floor, so the
 //      critical-path engine stays usable on full-size traces.
 //
-// Usage: perf_smoke [--events N] [--reps R] [--threads N] [--smoke]
+// Usage: perf_smoke [--reps R] [--threads N] [--sweep-measured M] [--smoke]
 //                   [--out results/BENCH_perf.json]
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <queue>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +28,6 @@
 #include "obs/critpath.h"
 #include "obs/tracer.h"
 #include "ps/cluster.h"
-#include "sim/simulator.h"
 
 namespace {
 
@@ -41,109 +36,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-// --------------------------------------------------------------------------
-// Legacy event loop replica (the pre-optimization simulator core, kept here
-// verbatim-in-spirit as the comparison baseline: type-erased std::function
-// callbacks, binary priority_queue of 48-byte events, copy of top() per pop).
-
-class LegacyLoop {
- public:
-  void schedule(double dt, std::function<void()> fn) {
-    events_.push(Event{now_ + dt, next_seq_++, std::move(fn)});
-  }
-  void run() {
-    while (!events_.empty()) {
-      Event ev = events_.top();  // top() is const: copy, as the old loop did
-      events_.pop();
-      now_ = ev.time;
-      ++executed_;
-      ev.fn();
-    }
-  }
-  double now() const { return now_; }
-  std::uint64_t executed() const { return executed_; }
-
- private:
-  struct Event {
-    double time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Order {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  double now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Order> events_;
-};
-
-// The measured workload, identical for both loops: `kChains` self-
-// rescheduling callback chains with LCG-pseudorandom delays — a steady-state
-// queue depth of kChains and an alloc/move pattern like the protocol's timer
-// and delivery events. The LCG keeps the event schedule identical across
-// loops and reps.
-constexpr int kChains = 64;
-
-struct ChainState {
-  std::uint64_t rng;
-  std::uint64_t remaining;
-};
-
-double next_delay(std::uint64_t& rng) {
-  rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-  return 1e-6 * static_cast<double>((rng >> 33) & 0xFFFF);
-}
-
-template <typename Loop>
-double time_loop(Loop& loop, std::uint64_t total_events) {
-  std::vector<ChainState> chains(kChains);
-  const std::uint64_t per_chain = total_events / kChains;
-  const auto t0 = Clock::now();
-  for (int c = 0; c < kChains; ++c) {
-    chains[c] = {static_cast<std::uint64_t>(c) * 0x9E3779B97F4A7C15ULL + 1,
-                 per_chain};
-    struct Step {
-      Loop* loop;
-      ChainState* state;
-      void operator()() const {
-        if (--state->remaining == 0) return;
-        loop->schedule(next_delay(state->rng), *this);
-      }
-    };
-    loop.schedule(next_delay(chains[c].rng), Step{&loop, &chains[c]});
-  }
-  loop.run();
-  return seconds_since(t0);
-}
-
-struct LoopResult {
-  double legacy_evps = 0.0;
-  double optimized_evps = 0.0;
-  double speedup = 0.0;
-};
-
-LoopResult bench_event_loop(std::uint64_t events, int reps) {
-  const double ev = static_cast<double>(events);
-  LoopResult r;
-  for (int rep = 0; rep < reps; ++rep) {
-    // Interleave so both loops sample the same host conditions.
-    LegacyLoop legacy;
-    const double t_legacy = time_loop(legacy, events);
-    sim::Simulator optimized;
-    const double t_opt = time_loop(optimized, events);
-    r.legacy_evps = std::max(r.legacy_evps, ev / t_legacy);
-    r.optimized_evps = std::max(r.optimized_evps, ev / t_opt);
-    std::printf("  rep %d: legacy %.2fM ev/s, optimized %.2fM ev/s\n", rep + 1,
-                ev / t_legacy / 1e6, ev / t_opt / 1e6);
-  }
-  r.speedup = r.optimized_evps / r.legacy_evps;
-  return r;
 }
 
 // --------------------------------------------------------------------------
@@ -184,7 +76,7 @@ bool series_identical(const std::vector<runner::Series>& a,
 // --------------------------------------------------------------------------
 // Observability guard: every tracer hook in the protocol sits behind an
 // `enabled()` branch, so an attached-but-disabled tracer must cost nearly
-// nothing. Same interleaved best-of-N scheme as the event-loop section.
+// nothing.
 
 constexpr double kObsOverheadBudget = 0.02;
 
@@ -268,15 +160,12 @@ CritpathResult bench_critpath(int measured, int reps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opts(argc, argv, {{"events", "2000000"},
-                            {"reps", "5"},
+  Options opts(argc, argv, {{"reps", "5"},
                             {"threads", "0"},
                             {"sweep-measured", "40"},
                             {"smoke", ""},
                             {"out", ""}});
   const bool smoke = opts.flag("smoke");
-  const std::uint64_t events =
-      smoke ? 200'000 : static_cast<std::uint64_t>(opts.integer("events"));
   const int reps = smoke ? 2 : static_cast<int>(opts.integer("reps"));
   const int sweep_measured =
       smoke ? 2 : static_cast<int>(opts.integer("sweep-measured"));
@@ -287,15 +176,6 @@ int main(int argc, char** argv) {
   // inline fallback.
   if (threads < 2) threads = 2;
   const unsigned cores = std::thread::hardware_concurrency();
-
-  std::printf("== perf smoke: event loop (%llu events x %d reps, "
-              "interleaved) ==\n",
-              static_cast<unsigned long long>(events), reps);
-  const LoopResult loop = bench_event_loop(events, reps);
-  std::printf("event loop: legacy %.2fM ev/s, optimized %.2fM ev/s "
-              "(best of %d) -> %.2fx\n\n",
-              loop.legacy_evps / 1e6, loop.optimized_evps / 1e6, reps,
-              loop.speedup);
 
   std::printf("== perf smoke: sweep fan-out (toy bandwidth sweep, "
               "1 vs %d threads) ==\n", threads);
@@ -335,13 +215,8 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n"
                  "  \"host\": {\"hardware_concurrency\": %u},\n"
-                 "  \"config\": {\"events\": %llu, \"reps\": %d, "
-                 "\"sweep_threads\": %d, \"sweep_measured\": %d},\n"
-                 "  \"event_loop\": {\n"
-                 "    \"legacy_events_per_sec\": %.0f,\n"
-                 "    \"optimized_events_per_sec\": %.0f,\n"
-                 "    \"speedup\": %.3f\n"
-                 "  },\n"
+                 "  \"config\": {\"reps\": %d, \"sweep_threads\": %d, "
+                 "\"sweep_measured\": %d},\n"
                  "  \"sweep\": {\n"
                  "    \"serial_seconds\": %.3f,\n"
                  "    \"parallel_seconds\": %.3f,\n"
@@ -362,10 +237,8 @@ int main(int argc, char** argv) {
                  "    \"above_floor\": %s\n"
                  "  }\n"
                  "}\n",
-                 cores, static_cast<unsigned long long>(events), reps, threads,
-                 sweep_measured, loop.legacy_evps, loop.optimized_evps,
-                 loop.speedup, t_serial, t_parallel, sweep_speedup,
-                 identical ? "true" : "false", obs.baseline_evps,
+                 cores, reps, threads, sweep_measured, t_serial, t_parallel,
+                 sweep_speedup, identical ? "true" : "false", obs.baseline_evps,
                  obs.disabled_evps, obs.overhead, kObsOverheadBudget,
                  obs.pass ? "true" : "false", critpath.trace_events,
                  critpath.evps, kCritpathFloorEvps,

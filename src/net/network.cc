@@ -12,8 +12,10 @@ Network::Network(sim::Simulator& sim, int n_nodes, NetworkConfig config)
   if (config.rate <= 0 || config.loopback_rate <= 0) {
     throw std::invalid_argument("non-positive link rate");
   }
-  const BitsPerSec rx = config.rx_rate > 0 ? config.rx_rate : config.rate;
-  nics_.resize(static_cast<std::size_t>(n_nodes), Nic{config.rate, rx});
+  Nic nic;
+  nic.tx_rate = config.rate;
+  nic.rx_rate = config.rx_rate > 0 ? config.rx_rate : config.rate;
+  nics_.resize(static_cast<std::size_t>(n_nodes), nic);
   inboxes_.reserve(static_cast<std::size_t>(n_nodes));
   for (int i = 0; i < n_nodes; ++i) {
     inboxes_.push_back(std::make_unique<sim::Queue<Message>>(sim));
@@ -54,6 +56,7 @@ TimeS Network::post(Message m) {
   const TimeS now = sim_->now();
   TimeS deliver_at;
   TimeS tx_end;
+  DeliveryStream* stream = nullptr;
 
   if (m.src == m.dst) {
     // Colocated processes: loopback channel, no NIC involvement.
@@ -62,6 +65,7 @@ TimeS Network::post(Message m) {
     tx_end = start + transfer_time(m.bytes, config_.loopback_rate);
     nic.loop_free = tx_end;
     deliver_at = tx_end + config_.loopback_latency;
+    stream = &nic.loop;
   } else {
     bytes_remote_ += m.bytes;
     Nic& src = nics_[static_cast<std::size_t>(m.src)];
@@ -144,6 +148,7 @@ TimeS Network::post(Message m) {
 
     dst.rx_free = rx_end;
     deliver_at = rx_end;
+    stream = &dst.rx;
 
     if (monitor_ != nullptr) {
       monitor_->record(m.dst, Direction::kIn, rx_start, rx_end, m.bytes);
@@ -164,7 +169,7 @@ TimeS Network::post(Message m) {
     }
   }
 
-  sim_->schedule_at(deliver_at, DeliverFn{this, acquire(std::move(m))});
+  schedule_delivery(*stream, deliver_at, acquire(std::move(m)));
   return tx_end;
 }
 
@@ -344,7 +349,7 @@ void Network::arrive_rx(Message* msg) {
                         flow, message_label(*msg));
     }
   }
-  sim_->schedule_at(rx_end, DeliverFn{this, msg});
+  schedule_delivery(dst.rx, rx_end, msg);
 }
 
 void Network::drop_at_rx(Message* msg, TimeS rx_start, TimeS rx_end) {
@@ -395,6 +400,42 @@ Message* Network::acquire(Message&& m) {
 void Network::release(Message* msg) {
   hier_flows_.erase(msg);
   free_.push_back(msg);
+}
+
+void Network::DeliveryStream::push(const Item& item) {
+  if (size == ring.size()) {
+    std::vector<Item> grown(std::max<std::size_t>(8, 2 * ring.size()));
+    for (std::size_t i = 0; i < size; ++i) {
+      grown[i] = ring[(head + i) & (ring.size() - 1)];
+    }
+    ring.swap(grown);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = item;
+  ++size;
+}
+
+void Network::schedule_delivery(DeliveryStream& stream, TimeS t,
+                                Message* msg) {
+  const sim::Simulator::Reservation at = sim_->reserve_at(t);
+  // Heads run in (time, seq) order only if the stream's items are sorted
+  // that way; seqs grow by construction, times because the channel is FIFO.
+  if (stream.size > 0 && at.time < stream.back().at.time) {
+    throw std::logic_error("delivery stream went back in time");
+  }
+  stream.push({at, msg});
+  if (stream.size == 1) {
+    sim_->schedule_reserved(at, DeliverHeadFn{this, &stream});
+  }
+}
+
+void Network::deliver_head(DeliveryStream& stream) {
+  Message* msg = stream.front().msg;
+  stream.pop();
+  if (stream.size > 0) {
+    sim_->schedule_reserved(stream.front().at, DeliverHeadFn{this, &stream});
+  }
+  deliver(msg);
 }
 
 void Network::deliver(Message* msg) {

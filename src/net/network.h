@@ -13,7 +13,10 @@
 // scheduling in P3 happens *above* this layer by deciding what to post next,
 // as in the paper's producer/consumer design. Messages between colocated
 // processes (src == dst) use a per-node loopback channel and never touch the
-// NIC.
+// NIC. Because both channels are FIFO, the deliveries into one node over one
+// channel come out in time order; each such stream gives the simulator's
+// event heap only its head, so the heap holds O(nodes) delivery events
+// however many messages are in flight.
 //
 // Per-node rates support heterogeneous clusters and `tc qdisc`-style
 // throttling mid-experiment (Section 5.3 uses this to sweep bandwidth).
@@ -65,6 +68,9 @@ struct NetworkConfig {
 class Network {
  public:
   Network(sim::Simulator& sim, int n_nodes, NetworkConfig config);
+  /// Scheduled events hold the network's and its streams' addresses.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   int nodes() const { return static_cast<int>(nics_.size()); }
   sim::Simulator& simulator() { return *sim_; }
@@ -159,27 +165,53 @@ class Network {
   Bytes tor_uplink_bytes() const;
 
  private:
+  /// Deliveries into one node over one channel (remote RX or loopback), in
+  /// delivery order. The channel serves transfers FIFO, so their delivery
+  /// times never decrease: only the head holds a simulator event, and each
+  /// later delivery is scheduled into the slot it reserved when its channel
+  /// time was booked, exactly where a per-message event would have run.
+  struct DeliveryStream {
+    struct Item {
+      sim::Simulator::Reservation at;
+      Message* msg;
+    };
+    std::vector<Item> ring;  ///< power-of-two capacity, allocated on first use
+    std::size_t head = 0;
+    std::size_t size = 0;
+
+    Item& front() { return ring[head]; }
+    Item& back() { return ring[(head + size - 1) & (ring.size() - 1)]; }
+    void push(const Item& item);
+    void pop() {
+      head = (head + 1) & (ring.size() - 1);
+      --size;
+    }
+  };
+
   struct Nic {
     BitsPerSec tx_rate;
     BitsPerSec rx_rate;
     TimeS tx_free = 0.0;
     TimeS rx_free = 0.0;
     TimeS loop_free = 0.0;
+    DeliveryStream rx;    ///< remote messages, in RX-channel order
+    DeliveryStream loop;  ///< colocated messages, in loopback order
   };
 
-  /// Delivery event on the transfer hot path: 16 bytes, fits EventFn's
-  /// inline buffer (capturing the 80-byte Message directly would force a
-  /// heap allocation per in-flight message).
-  struct DeliverFn {
+  /// Stream-head event: 16 bytes, fits EventFn's inline buffer.
+  struct DeliverHeadFn {
     Network* net;
-    Message* msg;
-    void operator()() const { net->deliver(msg); }
+    DeliveryStream* stream;
+    void operator()() const { net->deliver_head(*stream); }
   };
 
   /// Park `m` in the in-flight pool (pointers stable, slots recycled after
   /// delivery — sustained traffic does no per-message allocation).
   Message* acquire(Message&& m);
   void release(Message* msg);
+  /// Queue `msg` for delivery at `t` behind the stream's earlier items.
+  void schedule_delivery(DeliveryStream& stream, TimeS t, Message* msg);
+  void deliver_head(DeliveryStream& stream);
   void deliver(Message* msg);
 
   /// A transfer waiting for (or holding) a switch port.

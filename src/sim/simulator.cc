@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -38,6 +39,28 @@ void Simulator::enqueue(TimeS t, std::uint32_t slot) {
     return;
   }
   heap_push(e);
+}
+
+void Simulator::enqueue_reserved(const Entry& e) {
+  const bool in_batch = dispatching_ && e.time == now_;
+  if (e.time < now_ || (in_batch && e.seq < batch_[cursor_].seq)) {
+    slots_[e.slot] = EventFn();
+    free_slots_.push_back(e.slot);
+    throw std::logic_error("reserved event slot has already been passed");
+  }
+  if (!in_batch) {
+    heap_push(e);
+    return;
+  }
+  // The open batch runs in seq order and holds every event at this time, so
+  // the event goes to its seq position among the members not yet run; the
+  // zero-delay appends behind them carry larger seqs.
+  const auto rest = batch_.begin() + static_cast<std::ptrdiff_t>(cursor_ + 1);
+  batch_.insert(std::upper_bound(rest, batch_.end(), e,
+                                 [](const Entry& a, const Entry& b) {
+                                   return a.seq < b.seq;
+                                 }),
+                e);
 }
 
 void Simulator::heap_push(const Entry& e) {
@@ -92,63 +115,62 @@ void Simulator::run_entry(const Entry& e) {
   fn();
 }
 
-bool Simulator::step() {
-  if (heap_.empty()) return false;
-  const Entry e = heap_pop();
-  now_ = e.time;
-  run_entry(e);
-  return true;
+bool Simulator::dispatch(TimeS limit, const std::function<bool()>* done) {
+  if (done != nullptr && (*done)()) return true;
+  while (!heap_.empty() && heap_.front().time <= limit) {
+    const TimeS t = heap_.front().time;
+    batch_.clear();
+    while (!heap_.empty() && heap_.front().time == t) {
+      batch_.push_back(heap_pop());
+    }
+    now_ = t;
+    dispatching_ = true;
+    // batch_ may grow while we iterate: same-time events scheduled by a batch
+    // member join it behind the cursor (see enqueue() and
+    // enqueue_reserved()). Index, don't iterate.
+    for (cursor_ = 0; cursor_ < batch_.size(); ++cursor_) {
+      bool fired = false;
+      try {
+        run_entry(batch_[cursor_]);
+        fired = done != nullptr && (*done)();
+      } catch (...) {
+        close_batch();
+        throw;
+      }
+      if (fired) {
+        close_batch();
+        return true;
+      }
+    }
+    close_batch();
+  }
+  return false;
 }
 
-bool Simulator::dispatch_batch() {
-  if (heap_.empty()) return false;
-  const TimeS t = heap_.front().time;
-  batch_.clear();
-  while (!heap_.empty() && heap_.front().time == t) {
-    batch_.push_back(heap_pop());
-  }
-  now_ = t;
-  dispatching_ = true;
-  // batch_ may grow while we iterate: same-time events scheduled by a batch
-  // member append behind it (see enqueue()). Index, don't iterate.
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    try {
-      run_entry(batch_[i]);
-    } catch (...) {
-      // Keep the queue consistent: the unexecuted remainder of the batch
-      // goes back on the heap so a caller that catches can keep running.
-      for (std::size_t j = i + 1; j < batch_.size(); ++j) {
-        heap_push(batch_[j]);
-      }
-      batch_.clear();
-      dispatching_ = false;
-      throw;
-    }
+void Simulator::close_batch() {
+  for (std::size_t j = cursor_ + 1; j < batch_.size(); ++j) {
+    heap_push(batch_[j]);
   }
   batch_.clear();
   dispatching_ = false;
-  return true;
 }
 
 void Simulator::run() {
-  while (dispatch_batch()) {
-  }
+  dispatch(std::numeric_limits<TimeS>::infinity(), nullptr);
   reap_tasks();
 }
 
 TimeS Simulator::run_until(TimeS t) {
-  while (!heap_.empty() && heap_.front().time <= t) dispatch_batch();
+  dispatch(t, nullptr);
   if (now_ < t) now_ = t;
   reap_tasks();
   return now_;
 }
 
 bool Simulator::run_while(const std::function<bool()>& done) {
-  while (!done()) {
-    if (!step()) return false;
-  }
+  const bool fired = dispatch(std::numeric_limits<TimeS>::infinity(), &done);
   reap_tasks();
-  return true;
+  return fired;
 }
 
 void Simulator::reap_tasks() {

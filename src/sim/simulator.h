@@ -5,8 +5,8 @@
 // (`sim::Task`) are spawned onto the simulator and suspend via awaitables
 // (`sleep`, and the synchronization primitives in sync.h / queue.h).
 //
-// Hot-path design (the simulator is itself a measured artifact, see
-// bench/perf_smoke and BENCH_perf.json):
+// Hot-path design (the simulator's wall time and memory are measured by
+// perfbench/, see perfbench/NOTES.md):
 //   * callbacks are `EventFn` — small-buffer-optimized with a dedicated
 //     coroutine-handle representation, so steady-state scheduling does no
 //     heap allocation (see event.h);
@@ -14,12 +14,22 @@
 //     callback itself sits in a recycled slab and never moves during heap
 //     sifts, so each event costs exactly two EventFn moves (in and out)
 //     however deep the queue gets;
-//   * `run()` dispatches same-time events as one batch: zero-delay events
-//     scheduled *during* the batch (queue wakeups, resume_soon — the
-//     dominant pattern) append straight to the batch and never touch the
-//     heap. FIFO tie order is preserved because an appended event's
-//     sequence number exceeds every event already in the batch, and the
-//     heap holds no events at the batch time while one is open.
+//   * `run`, `run_until` and `run_while` share one dispatch loop that pops
+//     same-time events as one batch. Zero-delay events scheduled *during*
+//     the batch (queue wakeups, resume_soon — the dominant pattern) append
+//     straight to the batch and never touch the heap. FIFO tie order is
+//     preserved because an appended event's sequence number exceeds every
+//     event already in the batch, and the heap holds no events at the batch
+//     time while one is open. A batch that ends early (run_while's
+//     predicate fired, or an event threw) puts its unrun rest back on the
+//     heap, so the queue stays runnable;
+//   * producers whose events come out in (time, seq) order keep them in
+//     their own FIFO stream and give the heap only the stream's head. Each
+//     event's slot is claimed with `reserve_at` when it is produced and
+//     filled with `schedule_reserved` when it reaches the head, so it runs
+//     exactly where a plain `schedule_at` would have put it. The network's
+//     per-NIC delivery streams (net/network.h) keep the heap at O(nodes)
+//     entries instead of one per message in flight.
 #pragma once
 
 #include <coroutine>
@@ -62,6 +72,29 @@ class Simulator {
     schedule(t > now_ ? t - now_ : 0.0, std::forward<F>(fn));
   }
 
+  /// A place in the (time, seq) event order, claimed now for an event that
+  /// is scheduled later with schedule_reserved().
+  struct Reservation {
+    TimeS time;
+    std::uint64_t seq;
+  };
+
+  /// Claim the slot that `schedule_at(t, ...)` would give an event now.
+  Reservation reserve_at(TimeS t) {
+    return {now_ + (t > now_ ? t - now_ : 0.0), next_seq_++};
+  }
+
+  /// Schedule `fn` into a slot claimed earlier with reserve_at(): it runs
+  /// exactly where it would have run had it been scheduled at reservation
+  /// time, even inside an open same-time batch. Throws std::logic_error if
+  /// the dispatch order has already passed the slot.
+  template <typename F>
+  void schedule_reserved(Reservation r, F&& fn) {
+    const std::uint32_t slot = acquire_slot();
+    slots_[slot] = std::forward<F>(fn);
+    enqueue_reserved(Entry{r.time, r.seq, slot});
+  }
+
   /// Fast path: resume coroutine `h` after `dt` seconds.
   void schedule_resume(TimeS dt, std::coroutine_handle<> h) {
     schedule(dt, h);
@@ -69,9 +102,6 @@ class Simulator {
 
   /// Adopt and start a coroutine process.
   void spawn(Task task);
-
-  /// Run a single event. Returns false if the queue is empty.
-  bool step();
 
   /// Run until the event queue drains.
   void run();
@@ -90,6 +120,9 @@ class Simulator {
 
   /// True if no events are pending.
   bool idle() const { return heap_.empty() && !dispatching_; }
+
+  /// Events waiting in the heap (members of an open batch not counted).
+  std::size_t queued() const { return heap_.size(); }
 
   /// Awaitable: suspend the current task for `dt` simulated seconds.
   /// A zero delay still yields to other events scheduled at the same time.
@@ -131,12 +164,18 @@ class Simulator {
   /// Heap-or-batch insert of a parked callback (non-template backend of
   /// schedule()).
   void enqueue(TimeS t, std::uint32_t slot);
+  /// Same for an entry carrying a reserved sequence number.
+  void enqueue_reserved(const Entry& e);
   void heap_push(const Entry& e);
   Entry heap_pop();
   void run_entry(const Entry& e);
-  /// Pop the earliest batch of tie-time events and run it (FIFO by seq).
-  /// Returns false if the queue was empty.
-  bool dispatch_batch();
+  /// The dispatch loop behind run, run_until and run_while: runs same-time
+  /// batches in (time, seq) order while the earliest event is at or before
+  /// `limit`, checking `done` (if given) before the first event and after
+  /// every event. Returns true if `done` fired.
+  bool dispatch(TimeS limit, const std::function<bool()>* done);
+  /// Close the open batch; its members after `cursor_` go back on the heap.
+  void close_batch();
   void reap_tasks();
 
   TimeS now_ = 0.0;
@@ -145,7 +184,8 @@ class Simulator {
   std::vector<Entry> heap_;
   std::vector<EventFn> slots_;            ///< parked callbacks
   std::vector<std::uint32_t> free_slots_; ///< recycled slab indices
-  std::vector<Entry> batch_;  ///< reused dispatch buffer
+  std::vector<Entry> batch_;  ///< reused dispatch buffer, sorted by seq
+  std::size_t cursor_ = 0;    ///< index of the running batch member
   bool dispatching_ = false;  ///< a batch at time now_ is being run
   std::vector<Task::Handle> tasks_;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/sync.h"
@@ -155,6 +156,128 @@ TEST(Network, SetNodeRateMidTransferHonorsReservations) {
   EXPECT_DOUBLE_EQ(arrivals[0], 0.2);
   // ...second RX starts after its slow TX and runs at node 1's RX rate.
   EXPECT_DOUBLE_EQ(arrivals[1], 1.2);
+}
+
+// --- per-NIC delivery streams ---
+
+struct Arrival {
+  TimeS at;
+  int src;
+  bool operator==(const Arrival&) const = default;
+};
+
+/// Pops `count` messages from `node`'s inbox, recording when and from whom.
+sim::Task collect(Network& net, int node, int count,
+                  std::vector<Arrival>& out) {
+  for (int i = 0; i < count; ++i) {
+    const Message m = co_await net.inbox(node).pop();
+    out.push_back({net.simulator().now(), m.src});
+  }
+}
+
+TEST(Network, IncastAndLoopbackDeliverAtTheirReservedSlots) {
+  // Three senders and one loopback message into node 0. TX runs in parallel
+  // until 1 s, then node 0's RX serializes the incast: deliveries at 2, 3
+  // and 4 s. Each delivery reserved its slot when it was posted, so at each
+  // of those times it runs after the marker scheduled before the posts and
+  // before the marker scheduled after them.
+  sim::Simulator sim;
+  Network net(sim, 4, test_config(gbps(1), 0.0));
+  std::vector<std::int64_t> before;
+  std::vector<std::int64_t> after;
+  for (const TimeS t : {2.0, 3.0, 4.0}) {
+    sim.schedule_at(t, [&] { before.push_back(net.messages_delivered()); });
+  }
+  for (int src = 1; src <= 3; ++src) net.post(msg(src, 0, 125'000'000));
+  net.post(msg(0, 0, 125'000'000));
+  for (const TimeS t : {2.0, 3.0, 4.0}) {
+    sim.schedule_at(t, [&] { after.push_back(net.messages_delivered()); });
+  }
+  // Six markers plus one head per stream: the queued RX deliveries wait in
+  // their stream, not in the event heap.
+  EXPECT_EQ(sim.queued(), 8u);
+  std::vector<Arrival> arrivals;
+  sim.spawn(collect(net, 0, 4, arrivals));
+  sim.run();
+  ASSERT_EQ(arrivals.size(), 4u);
+  EXPECT_EQ(arrivals[0].src, 0);
+  EXPECT_NEAR(arrivals[0].at, 0.0025, 1e-12);  // 125 MB over 400 Gbps
+  EXPECT_EQ((std::vector<Arrival>(arrivals.begin() + 1, arrivals.end())),
+            (std::vector<Arrival>{{2.0, 1}, {3.0, 2}, {4.0, 3}}));
+  EXPECT_EQ(before, (std::vector<std::int64_t>{1, 2, 3}));
+  EXPECT_EQ(after, (std::vector<std::int64_t>{2, 3, 4}));
+  // Markers, deliveries and consumer wakeups: one event each.
+  EXPECT_EQ(sim.events_executed(), 6u + 4u + 4u);
+}
+
+TEST(Network, DeliveryTimeRoundsLikeScheduleAt) {
+  // A delivery runs at now + (rx_end - now), the time a per-message
+  // schedule_at(rx_end) gives it. For these inputs that differs from rx_end
+  // in the last bit, so the stream must keep the rounded value.
+  sim::Simulator sim;
+  Network net(sim, 2, test_config(gbps(1), 0.0));
+  const Bytes bytes = 3'000'000;
+  TimeS rx_end = 0.0;
+  TimeS want = 0.0;
+  sim.schedule(13 * 0.0007, [&] {
+    const TimeS now = sim.now();
+    rx_end = net.post(msg(0, 1, bytes)) + transfer_time(bytes, gbps(1));
+    want = now + (rx_end - now);
+  });
+  std::vector<Arrival> arrivals;
+  sim.spawn(collect(net, 1, 1, arrivals));
+  sim.run();
+  ASSERT_NE(want, rx_end);  // the inputs do exercise the rounding
+  ASSERT_EQ(arrivals.size(), 1u);
+  EXPECT_EQ(arrivals[0].at, want);
+}
+
+TEST(Network, RxRateChangeMidStreamKeepsDeliveryOrder) {
+  sim::Simulator sim;
+  Network net(sim, 4, test_config(gbps(1), 0.0));
+  net.post(msg(1, 0, 125'000'000));     // RX [1, 2]
+  net.set_node_rate(0, gbps(1), gbps(0.5));
+  net.post(msg(2, 0, 125'000'000));     // RX [2, 4] at the halved rate
+  sim.schedule(1.5, [&] {
+    // Two deliveries are still queued in node 0's stream.
+    net.set_node_rate(0, gbps(1), gbps(2));
+    net.post(msg(3, 0, 125'000'000));   // TX [1.5, 2.5], RX [4, 4.5]
+  });
+  std::vector<Arrival> arrivals;
+  sim.spawn(collect(net, 0, 3, arrivals));
+  sim.run();
+  EXPECT_EQ(arrivals, (std::vector<Arrival>{{2.0, 1}, {4.0, 2}, {4.5, 3}}));
+}
+
+TEST(Network, RxFaultDropsLeaveNoGapInTheStream) {
+  // Node 0 is down during [3.5, 3.6) and node 3 is cut off during
+  // [2.5, 2.6). Both drops happen in the RX window, so they reserve no RX
+  // time and no stream slot; the transfers behind them are neither delayed
+  // nor stalled.
+  FaultPlan plan;
+  plan.crashes.push_back({0, 3.5, 0.1});
+  NetPartition cut;
+  cut.side_a = {3};
+  cut.side_b = {0, 1, 2};
+  cut.start = 2.5;
+  cut.heal = 2.6;
+  plan.partitions.push_back(cut);
+  FaultInjector faults(plan);
+  sim::Simulator sim;
+  Network net(sim, 4, test_config(gbps(1), 0.0));
+  net.attach_faults(&faults);
+  net.post(msg(1, 0, 125'000'000));  // RX [1, 2]: delivered
+  net.post(msg(2, 0, 250'000'000));  // RX [2, 4]: receiver goes down
+  net.post(msg(3, 0, 125'000'000));  // RX [2, 3]: cut mid-transfer
+  net.post(msg(1, 0, 125'000'000));  // TX [1, 2], RX [2, 3]: delivered
+  std::vector<Arrival> arrivals;
+  sim.spawn(collect(net, 0, 2, arrivals));
+  sim.run();
+  EXPECT_EQ(arrivals, (std::vector<Arrival>{{2.0, 1}, {3.0, 1}}));
+  EXPECT_EQ(net.messages_dropped(), 2);
+  EXPECT_EQ(net.messages_posted(),
+            net.messages_delivered() + net.messages_dropped());
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST(Network, BlockingSendResumesAtTxCompletion) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -186,6 +188,46 @@ TEST(HierRouting, ExplicitUplinkRateOverridesOversubscription) {
   // Switch tiers now run at 10 Gbps: 0.1 ms per tier instead of 1 ms.
   const TimeS expected = 1e-3 + us(2) + 1e-4 + us(10) + 1e-4 + us(2) + 1e-5;
   EXPECT_NEAR(h.sim.now(), expected, 1e-12);
+}
+
+TEST(HierRouting, TwoRackIncastDeliversInRxOrder) {
+  // Node 0 receives from its rack mate 1, from 2 and 3 across the spine, and
+  // over loopback. Its RX runs at 0.5 Gbps (2 ms per message), so every
+  // remote arrival queues in node 0's RX stream behind the earlier ones.
+  NetworkConfig cfg = hier_config(1.0);  // uplinks at 2 Gbps: 0.5 ms a tier
+  cfg.rx_rate = gbps(0.5);
+  HierNet h(cfg);
+  const Bytes bytes = 125'000;  // 1 ms on a NIC
+  for (int src = 1; src <= 3; ++src) h.net.post(msg(src, 0, bytes));
+  h.net.post(msg(0, 0, bytes));
+  // Arrivals at node 0's RX: 1 at 1 ms + 2 ToR hops; 2 after its uplink and
+  // downlink tiers at 2.014 ms; 3 queued behind 2 at rack 1's uplink, so
+  // half a millisecond later.
+  const TimeS a1 = 1e-3 + us(2) + us(2);
+  const TimeS rx = 2e-3;
+  std::vector<std::pair<TimeS, int>> arrivals;
+  h.sim.spawn([](Network& n, std::vector<std::pair<TimeS, int>>& out)
+                  -> sim::Task {
+    for (int i = 0; i < 4; ++i) {
+      const Message m = co_await n.inbox(0).pop();
+      out.emplace_back(n.simulator().now(), m.src);
+    }
+  }(h.net, arrivals));
+  h.sim.run_until(2.6e-3);
+  // Every remote message has reached node 0's RX: the ports are idle and
+  // only the stream's head sits in the event heap.
+  EXPECT_EQ(h.sim.queued(), 1u);
+  h.sim.run();
+  ASSERT_EQ(arrivals.size(), 4u);
+  EXPECT_EQ(arrivals[0].second, 0);
+  EXPECT_NEAR(arrivals[0].first, 1e-3 / 400 + us(2), 1e-12);  // loopback
+  const int want_src[] = {1, 2, 3};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(arrivals[static_cast<std::size_t>(i) + 1].second, want_src[i]);
+    EXPECT_NEAR(arrivals[static_cast<std::size_t>(i) + 1].first,
+                a1 + rx * (i + 1), 1e-12);
+  }
+  EXPECT_EQ(h.net.messages_delivered(), 4);
 }
 
 // ---------------------------------------------------------------------------

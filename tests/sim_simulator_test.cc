@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace p3::sim {
@@ -176,6 +177,134 @@ TEST(Simulator, ThrowingEventLeavesRemainingBatchRunnable) {
   sim.run();               // the re-queued remainder is still runnable
   EXPECT_EQ(ran, 3);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+}
+
+TEST(Simulator, ThrowingEventInsideRunWhileLeavesRemainingBatchRunnable) {
+  Simulator sim;
+  int ran = 0;
+  sim.schedule(1.0, [&] { ++ran; });
+  sim.schedule(1.0, [] { throw std::runtime_error("boom"); });
+  sim.schedule(1.0, [&] { ++ran; });
+  sim.schedule(2.0, [&] { ++ran; });
+  EXPECT_THROW(sim.run_while([] { return false; }), std::runtime_error);
+  EXPECT_EQ(ran, 1);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_FALSE(sim.run_while([] { return false; }));  // remainder runs
+  EXPECT_EQ(ran, 3);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+}
+
+TEST(Simulator, RunWhileStoppingMidBatchKeepsTheRestInOrder) {
+  // The predicate fires after the second of four same-time events; the
+  // third, the fourth and a zero-delay event appended by the first must stay
+  // queued and later run in (time, seq) order.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(1.0, [&] {
+    order.push_back(0);
+    sim.schedule(0.0, [&] { order.push_back(4); });
+  });
+  for (int i = 1; i <= 3; ++i) {
+    sim.schedule(1.0, [&order, i] { order.push_back(i); });
+  }
+  sim.schedule(2.0, [&] { order.push_back(5); });
+  EXPECT_TRUE(sim.run_while([&] { return order.size() == 2; }));
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  EXPECT_EQ(sim.queued(), 4u);  // 2, 3, the appended 4, and 5
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.events_executed(), 6u);
+}
+
+TEST(Simulator, RunWhileChecksThePredicateBeforeTheFirstEvent) {
+  Simulator sim;
+  int ran = 0;
+  sim.schedule(1.0, [&] { ++ran; });
+  EXPECT_TRUE(sim.run_while([] { return true; }));
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(sim.queued(), 1u);
+}
+
+// --- reserved sequence numbers ---
+
+TEST(Simulator, ReservedFutureSlotRunsWhereItWasReserved) {
+  // Reserved at time 0 between two plain events at t=2, filled in at t=1:
+  // it runs between them, as if it had been scheduled at reservation time.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(2.0, [&] { order.push_back(0); });
+  const Simulator::Reservation r = sim.reserve_at(2.0);
+  sim.schedule(2.0, [&] { order.push_back(2); });
+  sim.schedule(1.0, [&] {
+    sim.schedule_reserved(r, [&] { order.push_back(1); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.events_executed(), 4u);
+}
+
+TEST(Simulator, ReserveAtComputesTheTimeLikeScheduleAt) {
+  Simulator sim;
+  sim.schedule(0.1, [] {});
+  sim.run();
+  const TimeS t = 0.7;
+  const Simulator::Reservation r = sim.reserve_at(t);
+  TimeS seen = -1.0;
+  sim.schedule_at(t, [&] { seen = sim.now(); });
+  sim.run();
+  EXPECT_EQ(r.time, seen);  // bit-equal: now + (t - now), not plain t
+  EXPECT_EQ(sim.reserve_at(0.0).time, sim.now());  // past clamps to now
+}
+
+TEST(Simulator, ReservedSlotsJoinAnOpenBatchAtTheirSeqPosition) {
+  // The batch at t=1 opens as [E0, E1, E2], with slot `early` reserved
+  // between E0 and E1. E0 appends Z0 (zero delay), then fills `early`. E1
+  // reserves `late` at t=1, behind Z0, and appends Z1; E2 fills `late`. Both
+  // reserved events must land at their seq positions, not at the batch end.
+  Simulator sim;
+  std::vector<std::string> order;
+  Simulator::Reservation early{};
+  Simulator::Reservation late{};
+  sim.schedule(1.0, [&] {
+    order.push_back("E0");
+    sim.schedule(0.0, [&] { order.push_back("Z0"); });
+    sim.schedule_reserved(early, [&] { order.push_back("R0"); });
+  });
+  early = sim.reserve_at(1.0);
+  sim.schedule(1.0, [&] {
+    order.push_back("E1");
+    late = sim.reserve_at(sim.now());
+    sim.schedule(0.0, [&] { order.push_back("Z1"); });
+  });
+  sim.schedule(1.0, [&] {
+    order.push_back("E2");
+    sim.schedule_reserved(late, [&] { order.push_back("R1"); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"E0", "R0", "E1", "E2", "Z0",
+                                             "R1", "Z1"}));
+  EXPECT_EQ(sim.events_executed(), 7u);
+}
+
+TEST(Simulator, FillingAPassedReservationThrows) {
+  Simulator sim;
+  const Simulator::Reservation at_one = sim.reserve_at(1.0);
+  bool threw_in_batch = false;
+  sim.schedule(1.0, [&] {
+    // Same time, but this event's seq is already past the reserved one.
+    try {
+      sim.schedule_reserved(at_one, [] {});
+    } catch (const std::logic_error&) {
+      threw_in_batch = true;
+    }
+  });
+  sim.run();
+  EXPECT_TRUE(threw_in_batch);
+  const Simulator::Reservation at_zero{0.5, at_one.seq};
+  EXPECT_THROW(sim.schedule_reserved(at_zero, [] {}), std::logic_error);
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST(Simulator, LargeCallbacksFallBackToTheHeapCorrectly) {
