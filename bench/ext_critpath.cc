@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
       if (std::fabs(ib.attributed() - ib.window()) > 1e-6) ++uncovered;
     }
     // The RunResult surface must be the same analysis the engine returns.
-    if (std::fabs(cells[i].run.blame_network_share -
+    if (std::fabs(cells[i].run.blame.network_share() -
                   blame.network_share()) > 1e-12) {
       ++surface_mismatches;
     }

@@ -14,6 +14,7 @@
 #include "bench_util.h"
 #include "model/zoo.h"
 #include "ps/cluster.h"
+#include "trace/timeline.h"
 
 namespace {
 
@@ -49,7 +50,7 @@ double run_case(core::SyncMethod method, const char* title) {
 
   ps::Cluster cluster(w, cartoon_config(method));
   trace::Timeline tl;
-  cluster.attach_timeline(&tl);
+  cluster.attach_tracer(&tl.tracer());
   const auto result = cluster.run(2, 2);
 
   std::printf("--- %s ---\n", title);

@@ -46,7 +46,6 @@
 #include "obs/tracer.h"
 #include "sim/queue.h"
 #include "sim/simulator.h"
-#include "trace/timeline.h"
 
 namespace p3::net {
 
@@ -107,10 +106,6 @@ class Network {
   /// Record TX/RX/drop spans (lanes "n<i>.tx" etc.) and, for messages
   /// carrying a trace_id, flow arrows from sender TX to receiver RX.
   void attach_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  /// Legacy observer spelling: records onto the timeline's backing tracer.
-  void attach_timeline(trace::Timeline* timeline) {
-    tracer_ = timeline == nullptr ? nullptr : &timeline->tracer();
-  }
   /// Attach a fault injector (nullptr = perfectly reliable wire). Faults
   /// apply to remote messages only; the sender still pays TX serialization
   /// for a dropped message (the bits left the NIC and died in the fabric).

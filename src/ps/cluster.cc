@@ -53,11 +53,26 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
       parked_pushes_(registry_.counter("partition.parked_pushes")),
       quorum_denied_failovers_(
           registry_.counter("partition.quorum_denied_failovers")),
+      agg_combined_pushes_(registry_.counter("hierarchy.agg_combined_pushes")),
+      agg_param_broadcasts_(
+          registry_.counter("hierarchy.agg_param_broadcasts")),
+      agg_fallback_pushes_(registry_.counter("hierarchy.agg_fallback_pushes")),
+      drains_started_(registry_.counter("scale.drains_started")),
+      drains_completed_(registry_.counter("scale.drains_completed")),
+      scale_decisions_(registry_.counter("scale.decisions")),
+      sheds_(registry_.counter("scale.sheds")),
+      slo_violation_ticks_(registry_.counter("scale.slo_violation_ticks")),
+      dssp_gate_blocks_(registry_.counter("dssp.gate_blocks")),
+      staleness_violations_(registry_.counter("dssp.staleness_violations")),
+      gate_wedge_ticks_(registry_.counter("dssp.gate_wedge_ticks")),
       iter_time_hist_(registry_.histogram(
           "worker.iteration_time_s",
           {0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0})),
       stall_time_hist_(registry_.histogram(
           "worker.stall_time_s",
+          {0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 1.0})),
+      dssp_wait_hist_(registry_.histogram(
+          "dssp.gate_wait_s",
           {0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 1.0})) {
   if (cfg_.n_workers <= 0) {
     throw std::invalid_argument("need at least one worker");
@@ -76,9 +91,6 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
   }
   if (cfg_.rto_backoff < 1.0) {
     throw std::invalid_argument("retransmission backoff below 1");
-  }
-  if (cfg_.fixed_rto < 0.0) {
-    throw std::invalid_argument("negative retransmission timeout");
   }
   if (cfg_.max_rto < cfg_.min_rto) {
     throw std::invalid_argument("retransmission ceiling below the floor");
@@ -223,15 +235,7 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
       }
     }
   }
-  if (agg_on_) {
-    agg_rounds_.resize(static_cast<std::size_t>(total_nodes()));
-    agg_combined_pushes_ =
-        &registry_.counter("hierarchy.agg_combined_pushes");
-    agg_param_broadcasts_ =
-        &registry_.counter("hierarchy.agg_param_broadcasts");
-    agg_fallback_pushes_ =
-        &registry_.counter("hierarchy.agg_fallback_pushes");
-  }
+  if (agg_on_) agg_rounds_.resize(static_cast<std::size_t>(total_nodes()));
 
   cfg_.faults.validate(cfg_.dedicated_servers ? 2 * cfg_.n_workers
                                               : cfg_.n_workers,
@@ -242,23 +246,22 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     net_->attach_faults(faults_.get());
   }
   // The ack/retransmit/dedup layer arms itself exactly when something can
-  // go wrong (or when forced); a fault-free run posts the pre-reliability
-  // event sequence bit for bit.
-  reliable_ = cfg_.faults.active() || cfg_.reliable_transport;
+  // go wrong; a fault-free run posts the pre-reliability event sequence bit
+  // for bit.
+  reliable_ = cfg_.faults.active();
   seen_.resize(static_cast<std::size_t>(total_nodes()));
   dedup_floor_.assign(static_cast<std::size_t>(total_nodes()), 0);
   rto_rng_ = Rng(cfg_.seed ^ 0x9e3779b97f4a7c15ULL);
 
   // The membership plane (heartbeats, replication, failover, rejoin) arms
-  // exactly when a crash is planned, shards are replicated, or a test
-  // forces it — otherwise nothing new is spawned and runs stay
-  // bit-identical to the pre-membership engine.
+  // exactly when a crash is planned or shards are replicated — otherwise
+  // nothing new is spawned and runs stay bit-identical to the
+  // pre-membership engine.
   // DSSP always arms it: the staleness gate's liveness contract leans on
   // membership views (dead stragglers and minority-fenced workers leave the
   // min-clock through suspicion / quorum, never by fiat).
   dssp_on_ = cfg_.method == core::SyncMethod::kDSSP;
-  membership_on_ = cfg_.force_membership || cfg_.replication > 1 ||
-                   !cfg_.faults.crashes.empty() ||
+  membership_on_ = cfg_.replication > 1 || !cfg_.faults.crashes.empty() ||
                    !cfg_.faults.joins.empty() ||
                    !cfg_.faults.leaves.empty() || cfg_.autoscaler.enabled ||
                    cfg_.faults.lease_duration.has_value() || dssp_on_;
@@ -299,8 +302,6 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     for (int l = 0; l < layers; ++l) {
       ws->gates.push_back(std::make_unique<sim::VersionGate>(sim_));
     }
-    ws->param_bytes.assign(static_cast<std::size_t>(layers), 0);
-    ws->notify_count.assign(static_cast<std::size_t>(layers), 0);
     ws->rng = Rng(cfg_.seed + 1000003ULL * static_cast<std::uint64_t>(w + 1));
     // Base workers hold the initial weights; a joiner's process does not
     // exist yet and will sync parameters through the join handshake.
@@ -308,10 +309,10 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     ws->recv_bytes.assign(n_slices, 0);
     ws->recv_inflight.assign(n_slices, -1);
     ws->last_push_iter.assign(n_slices, -1);
-    if (membership_on_) {
-      ws->notify_version.assign(n_slices, -1);
-      ws->pulled_round.assign(static_cast<std::size_t>(layers), -1);
-    }
+    ws->done_round.assign(n_slices, -1);
+    ws->wait_round.assign(static_cast<std::size_t>(layers), -1);
+    ws->evidence.assign(static_cast<std::size_t>(layers), 0);
+    ws->pulled_round.assign(static_cast<std::size_t>(layers), -1);
     ws->sendq_gauge = &registry_.gauge(lane("w", w, ".sendq_depth"));
     workers_.push_back(std::move(ws));
 
@@ -397,8 +398,7 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
 
   // Voluntary drain + SLO-driven autoscaling: the scale plane arms only
   // when leaves are planned or the policy is enabled, so every
-  // fixed-membership run keeps the exact pre-autoscaler event sequence and
-  // registry contents.
+  // fixed-membership run keeps the exact pre-autoscaler event sequence.
   scale_plane_ = membership_on_ && (!cfg_.faults.leaves.empty() ||
                                     cfg_.autoscaler.enabled);
   if (scale_plane_) {
@@ -418,11 +418,6 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
       max_prio = std::max(max_prio, item_priority(s));
     }
     shed_cutoff_ = max_prio / 2 + 1;
-    drains_started_ = &registry_.counter("scale.drains_started");
-    drains_completed_ = &registry_.counter("scale.drains_completed");
-    scale_decisions_ = &registry_.counter("scale.decisions");
-    sheds_ = &registry_.counter("scale.sheds");
-    slo_violation_ticks_ = &registry_.counter("scale.slo_violation_ticks");
     if (cfg_.autoscaler.enabled) {
       AutoscalerConfig acfg = cfg_.autoscaler;
       if (acfg.queue_gauges.empty()) {
@@ -437,28 +432,20 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     }
   }
 
-  // DSSP bounded-staleness gate: state, controller and metrics exist only
-  // for the DSSP method, so every other method keeps the exact pre-DSSP
-  // event sequence and registry contents.
+  // DSSP bounded-staleness gate: state, controller and per-worker gauges
+  // exist only for the DSSP method, so every other method keeps the exact
+  // pre-DSSP event sequence.
+  dssp_clock_.assign(static_cast<std::size_t>(n_total_workers()), -1);
   if (dssp_on_) {
     staleness_ = std::make_unique<StalenessController>(cfg_.staleness);
     dssp_gate_ = std::make_unique<sim::VersionGate>(sim_);
-    dssp_clock_.assign(static_cast<std::size_t>(n_total_workers()), -1);
     dssp_blocked_.assign(static_cast<std::size_t>(n_total_workers()), false);
     dssp_need_.assign(static_cast<std::size_t>(n_total_workers()), 0);
     dssp_future_.resize(static_cast<std::size_t>(n_total_servers()));
-    dssp_gate_blocks_ = &registry_.counter("dssp.gate_blocks");
-    staleness_violations_ = &registry_.counter("dssp.staleness_violations");
-    gate_wedge_ticks_ = &registry_.counter("dssp.gate_wedge_ticks");
-    dssp_wait_hist_ = &registry_.histogram(
-        "dssp.gate_wait_s",
-        {0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 1.0});
     for (int w = 0; w < n_total_workers(); ++w) {
       dssp_gap_gauge_.push_back(
           &registry_.gauge(lane("w", w, ".dssp_clock_gap")));
     }
-  } else {
-    dssp_clock_.assign(static_cast<std::size_t>(n_total_workers()), -1);
   }
 }
 
@@ -467,10 +454,6 @@ Cluster::~Cluster() = default;
 void Cluster::attach_tracer(obs::Tracer* tracer) {
   tracer_ = tracer;
   net_->attach_tracer(tracer);
-}
-
-void Cluster::attach_timeline(trace::Timeline* timeline) {
-  attach_tracer(timeline == nullptr ? nullptr : &timeline->tracer());
 }
 
 void Cluster::mem_mark(int node, const char* label) {
@@ -524,7 +507,6 @@ double Cluster::jitter_factor(WorkerState& ws) {
 }
 
 TimeS Cluster::initial_rto(const net::Message& m) const {
-  if (cfg_.fixed_rto > 0.0) return cfg_.fixed_rto;
   // Generous floor: a round trip plus one full serialization of this
   // message per incast participant (n pushes can queue ahead of it at the
   // server's RX channel). A spurious timeout is safe — dedup makes
@@ -536,7 +518,6 @@ TimeS Cluster::initial_rto(const net::Message& m) const {
 }
 
 bool Cluster::reachable(int node) const {
-  if (!membership_on_) return true;
   const auto& ns = node_state_[static_cast<std::size_t>(node)];
   if (ns.up) return true;
   // Down but restarting: the retransmission layer bridges the outage.
@@ -660,7 +641,7 @@ void Cluster::maybe_gc_dedup(int node) {
 }
 
 void Cluster::post_tracked(net::Message m) {
-  if (membership_on_ && !reachable(m.dst)) return;  // nobody to deliver to
+  if (!reachable(m.dst)) return;  // nobody to deliver to
   if (reliable_ && m.src != m.dst) {
     arm_reliable(m, -1);
     const TimeS rto = pending_tx_.at(m.msg_id).rto;
@@ -676,6 +657,17 @@ void Cluster::enqueue_push(int w, std::int64_t slice, std::int64_t iteration,
   auto& ws = *workers_[static_cast<std::size_t>(w)];
   const auto& sl = partition_.slices[static_cast<std::size_t>(slice)];
   ws.last_push_iter[static_cast<std::size_t>(slice)] = iteration;
+  const auto layer = static_cast<std::size_t>(sl.layer);
+  if (ws.wait_round[layer] != iteration) {
+    // The layer now waits on a new round: recount its evidence once (every
+    // slice of a layer is pushed for the same round).
+    ws.wait_round[layer] = iteration;
+    int have = 0;
+    for (const auto s : partition_.layer_slices[layer]) {
+      if (ws.done_round[static_cast<std::size_t>(s)] >= iteration) ++have;
+    }
+    ws.evidence[layer] = have;
+  }
   Bytes remaining = sl.payload_bytes();
   // Fragment large shards (ps-lite serialization); each fragment is a
   // separate message, so priority preemption also works mid-layer.
@@ -746,7 +738,7 @@ sim::Task Cluster::worker_loop(int w, std::int64_t start_iter) {
       const std::int64_t need = iter - s;
       const TimeS gate_t0 = sim_.now();
       if (need > dssp_gate_->version()) {
-        ++(*dssp_gate_blocks_);
+        ++dssp_gate_blocks_;
         dssp_blocked_[wn] = true;
         dssp_need_[wn] = need;
         co_await dssp_gate_->wait_for(need);
@@ -759,8 +751,8 @@ sim::Task Cluster::worker_loop(int w, std::int64_t start_iter) {
       const TimeS waited = sim_.now() - gate_t0;
       // Ground-truth bound audit: a fresh re-derivation of the floor must
       // cover what the gate just released (PROTOCOL.md inv. 13).
-      if (need > dssp_advance_gate()) ++(*staleness_violations_);
-      dssp_wait_hist_->observe(waited);
+      if (need > dssp_advance_gate()) ++staleness_violations_;
+      dssp_wait_hist_.observe(waited);
       dssp_wait_sum_ += waited;
       ++dssp_passages_;
       staleness_->observe(sim_.now(), waited);
@@ -831,7 +823,7 @@ sim::Task Cluster::worker_sender(int w) {
   for (;;) {
     SendItem item = co_await ws.sendq.pop();
     sendq_depth_changed(w, -1);
-    if (membership_on_ && !node_state_[wn].up) continue;  // dead process
+    if (!node_state_[wn].up) continue;  // dead process
     if (item.retx_id >= 0) {
       // Retransmission: it competed in the priority queue at the original
       // slice priority, so urgent traffic still preempts it under loss.
@@ -877,7 +869,7 @@ sim::Task Cluster::worker_sender(int w) {
       // per-worker cap keeps the merge exactly-once regardless).
       item.parked_at = sim_.now();
       shed_parked_[wn].push_back(item);
-      ++*sheds_;
+      ++sheds_;
       continue;
     }
     const auto& sl = partition_.slices[static_cast<std::size_t>(item.slice)];
@@ -917,10 +909,10 @@ sim::Task Cluster::worker_sender(int w) {
           m.kind = net::MsgKind::kRackPush;
           m.dst = agg;
         } else {
-          ++*agg_fallback_pushes_;
+          ++agg_fallback_pushes_;
         }
       } else {
-        ++*agg_fallback_pushes_;
+        ++agg_fallback_pushes_;
       }
     }
     if (partition_plane_ && m.dst != w && membership_[wn]->joined(m.dst) &&
@@ -933,7 +925,7 @@ sim::Task Cluster::worker_sender(int w) {
       ++parked_pushes_;
       continue;
     }
-    if (membership_on_ && !reachable(m.dst)) continue;
+    if (!reachable(m.dst)) continue;
     if (reliable_ && m.src != m.dst) arm_reliable(m, w);
     ++pushes_sent_;
     // Per-message CPU cost on the sender thread, then a blocking send: the
@@ -976,15 +968,14 @@ sim::Task Cluster::node_demux(int n) {
   const auto nn = static_cast<std::size_t>(n);
   for (;;) {
     net::Message m = co_await net_->inbox(n).pop();
-    if (membership_on_ && !node_state_[nn].up) continue;  // dead process
+    if (!node_state_[nn].up) continue;  // dead process
     if (m.kind == net::MsgKind::kAck) {
       // Delivery confirmed: retire the sender-side retransmission state
-      // (any outstanding timer becomes a no-op).
+      // (any outstanding timer becomes a no-op) and any commit barrier or
+      // migration waiting on it.
       pending_tx_.erase(m.msg_id);
-      if (membership_on_) {
-        on_replicate_ack(m.msg_id);
-        on_migrate_ack(m.msg_id);
-      }
+      on_replicate_ack(m.msg_id);
+      on_migrate_ack(m.msg_id);
       continue;
     }
     if (m.kind == net::MsgKind::kHeartbeat) {
@@ -1331,7 +1322,7 @@ void Cluster::enqueue_agg_push(int agg, std::int64_t slice,
     sendq_depth_changed(agg, +1);
     remaining -= item.payload;
   }
-  ++*agg_combined_pushes_;
+  ++agg_combined_pushes_;
 }
 
 void Cluster::send_rack_params(int server, std::int64_t slice) {
@@ -1354,10 +1345,7 @@ void Cluster::send_rack_params(int server, std::int64_t slice) {
     }
     if (!usable) {
       for (const int w : rack_workers_[r]) {
-        if (membership_on_ &&
-            !node_state_[static_cast<std::size_t>(w)].joined) {
-          continue;
-        }
+        if (!node_state_[static_cast<std::size_t>(w)].joined) continue;
         send_params(server, slice, w);
       }
       continue;
@@ -1393,8 +1381,7 @@ void Cluster::on_rack_params(int agg, const net::Message& m) {
   const auto rack = static_cast<std::size_t>(node_rack_[agg]);
   for (const int w : rack_workers_[rack]) {
     if (w == agg) continue;
-    if (membership_on_ &&
-        (!node_state_[static_cast<std::size_t>(w)].joined || !reachable(w))) {
+    if (!node_state_[static_cast<std::size_t>(w)].joined || !reachable(w)) {
       continue;
     }
     net::Message fwd = m;
@@ -1407,7 +1394,7 @@ void Cluster::on_rack_params(int agg, const net::Message& m) {
         tracing() ? obs::make_trace_id(m.slice, m.version - 1, w) : -1;
     post_tracked(fwd);
     ++params_sent_;
-    ++*agg_param_broadcasts_;
+    ++agg_param_broadcasts_;
   }
   net::Message self = m;
   self.kind = net::MsgKind::kParams;
@@ -1446,42 +1433,23 @@ void Cluster::worker_on_agg_dead(int w) {
 void Cluster::worker_on_notify(int w, const net::Message& m) {
   auto& ws = *workers_[static_cast<std::size_t>(w)];
   if (tracing()) lc(obs::Stage::kNotify, w, m.slice, m.iteration, 0);
-  const auto layer = static_cast<std::size_t>(m.layer);
-  const auto& slices = partition_.layer_slices[layer];
-  if (!membership_on_) {
-    if (++ws.notify_count[layer] ==
-        static_cast<int>(slices.size())) {
-      // MXNet issues the pull only once every slice of the layer has been
-      // notified (the behaviour P3 removes, Section 4.2).
-      ws.notify_count[layer] = 0;
-      for (auto slice : slices) enqueue_pull(w, slice, m.iteration);
-    }
-    return;
-  }
-  auto& nv = ws.notify_version[static_cast<std::size_t>(m.slice)];
-  nv = std::max(nv, m.iteration);
-  maybe_pull_layer(w, static_cast<int>(layer));
+  ws.note_done(static_cast<std::size_t>(m.slice),
+               static_cast<std::size_t>(m.layer), m.iteration);
+  maybe_pull_layer(w, m.layer);
 }
 
 void Cluster::maybe_pull_layer(int w, int layer) {
   if (sync_.immediate_broadcast || sync_.deferred_pull) return;
   auto& ws = *workers_[static_cast<std::size_t>(w)];
-  const auto& slices = partition_.layer_slices[static_cast<std::size_t>(layer)];
-  // The round the worker is waiting on is the one it pushed; every slice of
-  // a layer is pushed in the same iteration.
-  std::int64_t round = -1;
-  for (auto s : slices) {
-    const std::int64_t pushed = ws.last_push_iter[static_cast<std::size_t>(s)];
-    if (pushed < 0) return;  // layer not pushed since (re)start
-    round = std::max(round, pushed);
-  }
-  for (auto s : slices) {
-    const auto si = static_cast<std::size_t>(s);
-    if (ws.notify_version[si] >= round) continue;  // notified complete
-    if (ws.recv_version[si] > round) continue;     // params already in hand
-    return;  // no evidence yet that slice s's round finished
-  }
-  auto& pulled = ws.pulled_round[static_cast<std::size_t>(layer)];
+  const auto l = static_cast<std::size_t>(layer);
+  const auto& slices = partition_.layer_slices[l];
+  // The round the worker is waiting on is the one it pushed. MXNet issues
+  // the pulls only once every slice of the layer has evidence that round
+  // finished (the behaviour P3 removes, Section 4.2).
+  const std::int64_t round = ws.wait_round[l];
+  if (round < 0) return;  // layer not pushed since start
+  if (ws.evidence[l] < static_cast<int>(slices.size())) return;
+  auto& pulled = ws.pulled_round[l];
   if (pulled >= round) return;  // this round's pulls already went out
   pulled = round;
   for (auto s : slices) {
@@ -1511,6 +1479,12 @@ void Cluster::worker_on_param(int w, const net::Message& m) {
   ws.recv_version[si] = m.version;
   ws.recv_inflight[si] = -1;
   ws.recv_bytes[si] = 0;
+  // Parameters of version v end round v - 1. Recovery-path params
+  // (stale-push replies, failover re-sends) count as round-completion
+  // evidence: a layer whose notify died with a crashed server can still
+  // pull its remaining slices.
+  const auto layer = static_cast<std::size_t>(m.layer);
+  ws.note_done(si, layer, m.version - 1);
   if (tracing() && ws.last_push_iter[si] >= 0) {
     // Version v means "parameters after iteration v-1's update". Deliveries
     // to a worker that never pushed this slice (the admission / rejoin
@@ -1521,17 +1495,13 @@ void Cluster::worker_on_param(int w, const net::Message& m) {
   }
   // The layer's forward gate opens at the oldest complete slice version
   // (identical to the byte-count trigger when deliveries are exactly-once).
-  const auto layer = static_cast<std::size_t>(m.layer);
   std::int64_t layer_min = m.version;
   for (auto s : partition_.layer_slices[layer]) {
     layer_min = std::min(layer_min,
                          ws.recv_version[static_cast<std::size_t>(s)]);
   }
   ws.gates[layer]->advance_to(layer_min);
-  // Recovery-path params (stale-push replies, failover re-sends) count as
-  // round-completion evidence: a layer whose notify died with a crashed
-  // server can still pull its remaining slices.
-  if (membership_on_) maybe_pull_layer(w, static_cast<int>(layer));
+  maybe_pull_layer(w, m.layer);
 }
 
 void Cluster::send_params(int server, std::int64_t slice, int worker) {
@@ -1591,8 +1561,7 @@ void Cluster::release_round(int server, std::int64_t slice,
     } else {
       // P3Server: broadcast updated parameters without notify+pull.
       for (int w = 0; w < n_total_workers(); ++w) {
-        if (membership_on_ &&
-            !node_state_[static_cast<std::size_t>(w)].joined) {
+        if (!node_state_[static_cast<std::size_t>(w)].joined) {
           continue;  // elastic joiner not admitted yet
         }
         send_params(server, slice, w);
@@ -1600,10 +1569,7 @@ void Cluster::release_round(int server, std::int64_t slice,
     }
   } else if (!sync_.deferred_pull) {
     for (int w = 0; w < n_total_workers(); ++w) {
-      if (membership_on_ &&
-          !node_state_[static_cast<std::size_t>(w)].joined) {
-        continue;
-      }
+      if (!node_state_[static_cast<std::size_t>(w)].joined) continue;
       net::Message notify;
       notify.src = server_node(server);
       notify.dst = w;
@@ -1720,7 +1686,7 @@ sim::Task Cluster::server_loop(int n) {
   for (;;) {
     RxItem item = co_await ss.rxq.pop();
     rxq_depth_changed(n, -1);
-    if (membership_on_ && !node_state_[node].up) continue;  // dead process
+    if (!node_state_[node].up) continue;  // dead process
     const net::Message& m = item.msg;
 
     // Membership plane: a death notice shrank the expected set (or a
@@ -1809,7 +1775,6 @@ sim::Task Cluster::server_loop(int n) {
                 std::max(m.version, m.iteration - s_max);
             if (proven > ss.version[slice_idx]) {
               ss.version[slice_idx] = proven;
-              ss.round_bytes[slice_idx] = 0;
               for (auto& c : ss.contrib[slice_idx]) c = 0;
               // Run-ahead pushes for the newly opened round may already be
               // parked in the future buffer (they arrived while the shard
@@ -1819,7 +1784,6 @@ sim::Task Cluster::server_loop(int n) {
             }
           } else {
             ss.version[slice_idx] = m.iteration;
-            ss.round_bytes[slice_idx] = 0;
             for (auto& c : ss.contrib[slice_idx]) c = 0;
           }
         }
@@ -1831,7 +1795,7 @@ sim::Task Cluster::server_loop(int n) {
       const TimeS t0 = sim_.now();
       co_await sim_.sleep(static_cast<double>(payload) /
                           cfg_.update_bytes_per_sec);
-      if (membership_on_ && !node_state_[node].up) continue;  // died mid-add
+      if (!node_state_[node].up) continue;  // died mid-add
       if (!membership_on_) {
         if (tracing()) {
           lc(obs::Stage::kAggregate, m.worker, m.slice, m.iteration, 0);
@@ -2159,7 +2123,7 @@ sim::Task Cluster::dssp_audit_loop() {
     }
     if (stuck_exists && !eligible_can_proceed) {
       ++consecutive_stuck;
-      if (consecutive_stuck >= kWedgeConfirmTicks) ++(*gate_wedge_ticks_);
+      if (consecutive_stuck >= kWedgeConfirmTicks) ++gate_wedge_ticks_;
     } else {
       consecutive_stuck = 0;
     }
@@ -2985,9 +2949,8 @@ void Cluster::teardown_process_state(int node) {
     sendq_depth_changed(node,
                         static_cast<std::int64_t>(ws.sendq.size()) -
                             ws.sendq_depth);
-    ws.param_bytes.assign(ws.param_bytes.size(), 0);
-    ws.notify_count.assign(ws.notify_count.size(), 0);
-    ws.notify_version.assign(ws.notify_version.size(), -1);
+    ws.done_round.assign(ws.done_round.size(), -1);
+    ws.evidence.assign(ws.evidence.size(), 0);
     ws.pulled_round.assign(ws.pulled_round.size(), -1);
     ws.recv_version.assign(ws.recv_version.size(), -1);  // holds nothing
     ws.recv_bytes.assign(ws.recv_bytes.size(), 0);
@@ -3005,7 +2968,6 @@ void Cluster::teardown_process_state(int node) {
     }
     rxq_depth_changed(s, static_cast<std::int64_t>(ss.rxq.size()) -
                              ss.rxq_depth);
-    ss.round_bytes.assign(ss.round_bytes.size(), 0);
     for (auto& row : ss.contrib) std::fill(row.begin(), row.end(), 0);
     for (auto& p : ss.pending) p.clear();
     // Buffered run-ahead contributions are server memory; workers re-push
@@ -3123,7 +3085,7 @@ void Cluster::begin_drain(int node) {
   if (!ns.up || !ns.joined || ns.draining || ns.retired) return;
   ns.draining = true;
   ns.drain_since = sim_.now();
-  ++*drains_started_;
+  ++drains_started_;
   mem_mark(node, "D-");
   sim_.spawn(drain_loop(node, ns.epoch));
 }
@@ -3293,7 +3255,7 @@ void Cluster::retire_node(int node) {
   ns.up = false;
   ns.epoch += 1;
   ns.down_since = sim_.now();
-  ++*drains_completed_;
+  ++drains_completed_;
   mem_mark(node, "D+");
   if (tracing()) {
     tracer_->span(lane("n", node, ".mem"), ns.drain_since, sim_.now(),
@@ -3397,7 +3359,7 @@ sim::Task Cluster::autoscaler_loop() {
     const ScaleAction act = autoscaler_->tick(now, can_up, can_down);
     const std::int64_t v = autoscaler_->slo_violation_ticks();
     if (v > reported_violations) {
-      slo_violation_ticks_->inc(v - reported_violations);
+      slo_violation_ticks_.inc(v - reported_violations);
       reported_violations = v;
     }
     if (act == ScaleAction::kHold) continue;
@@ -3410,7 +3372,7 @@ sim::Task Cluster::autoscaler_loop() {
       // more. Hold until the flow window produces a completed iteration.
       continue;
     }
-    ++*scale_decisions_;
+    ++scale_decisions_;
     scale_decision_times_.push_back(now);
     switch (act) {
       case ScaleAction::kUp: {
@@ -3574,10 +3536,10 @@ RunResult Cluster::run(int warmup_iterations, int measured_iterations) {
   result.agg_combined_pushes = agg_combined_pushes();
   result.agg_param_broadcasts = agg_param_broadcasts();
   result.agg_fallback_pushes = agg_fallback_pushes();
+  result.dssp_gate_blocks = dssp_gate_blocks();
+  result.staleness_violations = staleness_violations();
+  result.gate_wedge_ticks = gate_wedge_ticks();
   if (dssp_on_) {
-    result.dssp_gate_blocks = dssp_gate_blocks();
-    result.staleness_violations = staleness_violations();
-    result.gate_wedge_ticks = gate_wedge_ticks();
     result.staleness_raises = staleness_->raises();
     result.staleness_decays = staleness_->decays();
     result.final_staleness_bound = staleness_->bound();
@@ -3605,93 +3567,54 @@ RunResult Cluster::run(int warmup_iterations, int measured_iterations) {
     }
   }
 
-  if (crashes_.value() == 0 && joins_.value() == 0 && !scale_plane_) {
-    // Crash-free path: the exact pre-membership arithmetic, so results stay
-    // bit-identical to the seed engine. A scale-plane run always takes the
-    // windowed path below — a drained worker's history ends mid-run, which
-    // breaks the full-history indexing this branch assumes.
-    TimeS start = 0.0;
-    TimeS end = 0.0;
-    for (const auto& ws : workers_) {
-      const auto& done = ws->iter_done;
-      if (warmup_iterations > 0) {
-        start = std::max(
-            start, done[static_cast<std::size_t>(warmup_iterations - 1)]);
-      }
-      end = std::max(end, done.back());
+  // Measurement window. Workers may have shorter (crashed early, joined
+  // late, or drained) or longer (restarted mid-run) histories. The window
+  // is anchored on workers that never crashed or joined — a rejoined or
+  // admitted worker's history starts mid-run, and anchoring on it would
+  // shrink the window and inflate throughput — then every completion
+  // inside the window counts, whichever worker produced it. On a fixed
+  // roster this is every worker's measured iterations.
+  TimeS start = 0.0;
+  TimeS end = 0.0;
+  for (int w = 0; w < n_total_workers(); ++w) {
+    const auto& done = workers_[static_cast<std::size_t>(w)]->iter_done;
+    if (done.empty()) continue;
+    end = std::max(end, done.back());
+    const bool ever_crashed =
+        node_state_[static_cast<std::size_t>(w)].epoch > 0;
+    if (!ever_crashed && warmup_iterations > 0 &&
+        done.size() >= static_cast<std::size_t>(warmup_iterations)) {
+      start = std::max(
+          start, done[static_cast<std::size_t>(warmup_iterations - 1)]);
     }
-    const double samples = static_cast<double>(cfg_.n_workers) *
-                           workload_.batch_per_worker * measured_iterations;
-    result.total_time = end;
-    result.throughput = samples / (end - start);
-    const auto& w0 = workers_.front()->iter_done;
-    for (int i = warmup_iterations; i < target_iterations_; ++i) {
-      const TimeS prev =
-          i == 0 ? 0.0 : w0[static_cast<std::size_t>(i - 1)];
-      result.iteration_times.push_back(w0[static_cast<std::size_t>(i)] - prev);
+  }
+  std::int64_t measured_iters = 0;
+  double stall_sum = 0.0;
+  for (const auto& ws : workers_) {
+    for (std::size_t i = 0; i < ws->iter_done.size(); ++i) {
+      if (ws->iter_done[i] <= start) continue;
+      ++measured_iters;
+      if (i < ws->iter_stall.size()) stall_sum += ws->iter_stall[i];
     }
+  }
+  result.total_time = end;
+  const double samples = static_cast<double>(measured_iters) *
+                         workload_.batch_per_worker;
+  result.throughput = end > start ? samples / (end - start) : 0.0;
+  const auto& w0 = workers_.front()->iter_done;
+  for (std::size_t i = static_cast<std::size_t>(warmup_iterations);
+       i < w0.size(); ++i) {
+    const TimeS prev = i == 0 ? 0.0 : w0[i - 1];
+    result.iteration_times.push_back(w0[i] - prev);
+  }
+  if (!result.iteration_times.empty()) {
     double sum = 0.0;
     for (TimeS t : result.iteration_times) sum += t;
     result.mean_iteration_time =
         sum / static_cast<double>(result.iteration_times.size());
-    double stall_sum = 0.0;
-    for (const auto& ws : workers_) {
-      for (int i = warmup_iterations; i < target_iterations_; ++i) {
-        stall_sum += ws->iter_stall[static_cast<std::size_t>(i)];
-      }
-    }
-    result.mean_stall_time = stall_sum /
-                             (static_cast<double>(cfg_.n_workers) *
-                              measured_iterations);
-  } else {
-    // Crash/join runs: workers may have shorter (crashed early, or joined
-    // late) or longer (restarted mid-run) histories. The measurement window
-    // is anchored on workers that never crashed or joined — a rejoined or
-    // admitted worker's history starts mid-run, and anchoring on it would
-    // shrink the window and inflate throughput — then every completion
-    // inside the window counts, whichever worker produced it.
-    TimeS start = 0.0;
-    TimeS end = 0.0;
-    for (int w = 0; w < n_total_workers(); ++w) {
-      const auto& done = workers_[static_cast<std::size_t>(w)]->iter_done;
-      if (done.empty()) continue;
-      end = std::max(end, done.back());
-      const bool ever_crashed = node_state_[static_cast<std::size_t>(w)].epoch > 0;
-      if (!ever_crashed && warmup_iterations > 0 &&
-          done.size() >= static_cast<std::size_t>(warmup_iterations)) {
-        start = std::max(
-            start, done[static_cast<std::size_t>(warmup_iterations - 1)]);
-      }
-    }
-    std::int64_t measured_iters = 0;
-    double stall_sum = 0.0;
-    for (const auto& ws : workers_) {
-      for (std::size_t i = 0; i < ws->iter_done.size(); ++i) {
-        if (ws->iter_done[i] <= start) continue;
-        ++measured_iters;
-        if (i < ws->iter_stall.size()) stall_sum += ws->iter_stall[i];
-      }
-    }
-    result.total_time = end;
-    const double samples = static_cast<double>(measured_iters) *
-                           workload_.batch_per_worker;
-    result.throughput = end > start ? samples / (end - start) : 0.0;
-    const auto& w0 = workers_.front()->iter_done;
-    for (std::size_t i = static_cast<std::size_t>(warmup_iterations);
-         i < w0.size(); ++i) {
-      const TimeS prev = i == 0 ? 0.0 : w0[i - 1];
-      result.iteration_times.push_back(w0[i] - prev);
-    }
-    if (!result.iteration_times.empty()) {
-      double sum = 0.0;
-      for (TimeS t : result.iteration_times) sum += t;
-      result.mean_iteration_time =
-          sum / static_cast<double>(result.iteration_times.size());
-    }
-    if (measured_iters > 0) {
-      result.mean_stall_time =
-          stall_sum / static_cast<double>(measured_iters);
-    }
+  }
+  if (measured_iters > 0) {
+    result.mean_stall_time = stall_sum / static_cast<double>(measured_iters);
   }
   if (dssp_on_) {
     // Time-weighted mean of the adapted bound — denominator of the
@@ -3707,33 +3630,17 @@ RunResult Cluster::run(int warmup_iterations, int measured_iterations) {
   if (tracing()) {
     // Blame attribution over the measured iterations. Gauges are get-or-
     // created here, so untraced runs keep byte-identical registry snapshots.
-    const obs::BlameReport blame =
+    obs::BlameReport blame =
         obs::analyze_critical_path(*tracer_, warmup_iterations);
     if (blame.problems.empty() && !blame.iterations.empty()) {
-      result.blame_iterations =
-          static_cast<std::int64_t>(blame.iterations.size());
-      result.blame_chain_stalls = blame.chain_stalls;
-      result.blame_total_s = blame.total_s;
-      result.blame_forward_share = blame.share(obs::Blame::kForward);
-      result.blame_backward_share = blame.share(obs::Blame::kBackward);
-      result.blame_sendq_share = blame.share(obs::Blame::kSendQueue);
-      result.blame_inversion_share = blame.share(obs::Blame::kInversion);
-      result.blame_wire_share = blame.share(obs::Blame::kWire);
-      result.blame_uplink_share = blame.share(obs::Blame::kUplink);
-      result.blame_downlink_share = blame.share(obs::Blame::kDownlink);
-      result.blame_server_share = blame.share(obs::Blame::kServer);
-      result.blame_agghold_share = blame.share(obs::Blame::kAggHold);
-      result.blame_recovery_share = blame.share(obs::Blame::kRecovery);
-      result.blame_sspwait_share = blame.share(obs::Blame::kSspWait);
-      result.blame_other_share = blame.share(obs::Blame::kOther);
-      result.blame_network_share = blame.network_share();
       for (int c = 0; c < obs::kBlameCount; ++c) {
         registry_.gauge(std::string("blame.") +
                         obs::blame_name(static_cast<obs::Blame>(c)) +
                         "_share")
             .set(blame.share(static_cast<obs::Blame>(c)));
       }
-      registry_.gauge("blame.network_share").set(result.blame_network_share);
+      registry_.gauge("blame.network_share").set(blame.network_share());
+      result.blame = std::move(blame);
     }
   }
   return result;

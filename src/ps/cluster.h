@@ -22,11 +22,11 @@
 // requests at the start of the next iteration instead.
 //
 // Crash recovery (docs/PROTOCOL.md): when a fault plan schedules node
-// crashes — or `replication > 1` / `force_membership` is set — the cluster
-// additionally runs a membership plane: every node gossips heartbeat beacons
-// and keeps an independent liveness view (`ps::Membership`); each server
-// shard is replicated on `replication` consecutive servers with
-// primary-backup propagation and a commit barrier (parameters are released
+// crashes — or `replication > 1` is set — the cluster additionally runs a
+// membership plane: every node gossips heartbeat beacons and keeps an
+// independent liveness view (`ps::Membership`); each server shard is
+// replicated on `replication` consecutive servers with primary-backup
+// propagation and a commit barrier (parameters are released
 // to workers only after every live backup acknowledged the replicated
 // state); on primary death the first live replica in chain order takes over
 // with a bumped epoch and workers deterministically re-push un-acknowledged
@@ -51,6 +51,7 @@
 // dual-primary window (tracked by `membership.dual_primary_windows`).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -67,6 +68,7 @@
 #include "model/compute.h"
 #include "net/faults.h"
 #include "net/network.h"
+#include "obs/critpath.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
 #include "ps/autoscaler.h"
@@ -75,7 +77,6 @@
 #include "sim/queue.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
-#include "trace/timeline.h"
 
 namespace p3::ps {
 
@@ -143,9 +144,6 @@ struct ClusterConfig {
   /// perfectly reliable and the reliability layer disarmed, so fault-free
   /// runs are byte-identical to a build without this subsystem.
   net::FaultPlan faults;
-  /// Arm the ack/timeout/retransmit layer even without faults (used by
-  /// tests to exercise dedup under spurious retransmissions).
-  bool reliable_transport = false;
   /// Floor of the per-message retransmission timeout. The initial RTO also
   /// scales with the message's serialization time and the cluster's incast
   /// depth, and backs off by `rto_backoff` on every expiry.
@@ -160,10 +158,6 @@ struct ClusterConfig {
   /// armed retransmission timer — decorrelates synchronized retry storms
   /// after a blackout. The jitter RNG is consumed only when enabled.
   double rto_jitter = 0.0;
-  /// > 0: use exactly this initial RTO for every message instead of the
-  /// adaptive formula. Deliberately tiny values force spurious
-  /// retransmissions, which tests use to prove dedup idempotency.
-  TimeS fixed_rto = 0.0;
 
   // --- crash recovery / elastic membership (docs/PROTOCOL.md) ---
   /// Replicate each server shard on this many consecutive servers (chain
@@ -187,8 +181,6 @@ struct ClusterConfig {
   /// `current version + rejoin_slack`, though earlier contributions still
   /// merge when they arrive.
   std::int64_t rejoin_slack = 1;
-  /// Arm the membership plane even without crashes or replication (tests).
-  bool force_membership = false;
   /// Watchdog: abort a membership run that exceeds this much simulated time
   /// (stuck recovery would otherwise heartbeat forever). 0 = 3600 s when
   /// the membership plane is armed; ignored otherwise.
@@ -319,26 +311,10 @@ struct RunResult {
   double mean_staleness_bound = 0.0;
   TimeS mean_gate_wait = 0;            ///< mean wait per gate passage
 
-  // Critical-path blame attribution (zero unless a tracer was attached; see
-  // obs::analyze_critical_path). Shares are fractions of the summed measured
-  // iteration windows.
-  std::int64_t blame_iterations = 0;   ///< iterations the walk attributed
-  std::int64_t blame_chain_stalls = 0; ///< unresolved causal links
-  double blame_total_s = 0.0;          ///< summed iteration windows
-  double blame_forward_share = 0.0;
-  double blame_backward_share = 0.0;
-  double blame_sendq_share = 0.0;
-  double blame_inversion_share = 0.0;
-  double blame_wire_share = 0.0;
-  double blame_uplink_share = 0.0;
-  double blame_downlink_share = 0.0;
-  double blame_server_share = 0.0;
-  double blame_agghold_share = 0.0;
-  double blame_recovery_share = 0.0;
-  double blame_sspwait_share = 0.0;
-  double blame_other_share = 0.0;
-  /// sendq + inversion + wire + uplink + downlink: the share P3 collapses.
-  double blame_network_share = 0.0;
+  /// Critical-path blame over the measured iterations (see
+  /// obs::analyze_critical_path). Empty unless a tracer was attached and the
+  /// analysis found a well-formed graph with at least one iteration.
+  obs::BlameReport blame;
 };
 
 class Cluster {
@@ -370,8 +346,6 @@ class Cluster {
   /// slice-lifecycle records, and P3_LOG lines as instant events while
   /// run() executes. Pass nullptr to detach.
   void attach_tracer(obs::Tracer* tracer);
-  /// Legacy observer spelling: records onto the timeline's backing tracer.
-  void attach_timeline(trace::Timeline* timeline);
 
   /// Metrics registry backing every counter below, plus queue-depth gauges
   /// ("w<i>.sendq_depth", "n<i>.rxq_depth") and per-iteration time/stall
@@ -442,14 +416,13 @@ class Cluster {
   bool hierarchy_armed() const { return hierarchy_on_; }
   bool rack_aggregation_armed() const { return agg_on_; }
   std::int64_t agg_combined_pushes() const {
-    return agg_combined_pushes_ != nullptr ? agg_combined_pushes_->value() : 0;
+    return agg_combined_pushes_.value();
   }
   std::int64_t agg_param_broadcasts() const {
-    return agg_param_broadcasts_ != nullptr ? agg_param_broadcasts_->value()
-                                            : 0;
+    return agg_param_broadcasts_.value();
   }
   std::int64_t agg_fallback_pushes() const {
-    return agg_fallback_pushes_ != nullptr ? agg_fallback_pushes_->value() : 0;
+    return agg_fallback_pushes_.value();
   }
   // Autoscaler / drain introspection (zero/false while disarmed).
   bool scale_plane_armed() const { return scale_plane_; }
@@ -459,21 +432,12 @@ class Cluster {
   bool node_retired(int node) const {
     return node_state_[static_cast<std::size_t>(node)].retired;
   }
-  std::int64_t drains_started() const {
-    return drains_started_ != nullptr ? drains_started_->value() : 0;
-  }
-  std::int64_t drains_completed() const {
-    return drains_completed_ != nullptr ? drains_completed_->value() : 0;
-  }
-  std::int64_t scale_decisions() const {
-    return scale_decisions_ != nullptr ? scale_decisions_->value() : 0;
-  }
-  std::int64_t sheds() const {
-    return sheds_ != nullptr ? sheds_->value() : 0;
-  }
+  std::int64_t drains_started() const { return drains_started_.value(); }
+  std::int64_t drains_completed() const { return drains_completed_.value(); }
+  std::int64_t scale_decisions() const { return scale_decisions_.value(); }
+  std::int64_t sheds() const { return sheds_.value(); }
   std::int64_t slo_violation_ticks() const {
-    return slo_violation_ticks_ != nullptr ? slo_violation_ticks_->value()
-                                           : 0;
+    return slo_violation_ticks_.value();
   }
   const std::vector<TimeS>& scale_decision_times() const {
     return scale_decision_times_;
@@ -481,15 +445,10 @@ class Cluster {
   // DSSP staleness-gate introspection (zero/false unless method == kDSSP).
   bool dssp_armed() const { return dssp_on_; }
   std::int64_t staleness_violations() const {
-    return staleness_violations_ != nullptr ? staleness_violations_->value()
-                                            : 0;
+    return staleness_violations_.value();
   }
-  std::int64_t gate_wedge_ticks() const {
-    return gate_wedge_ticks_ != nullptr ? gate_wedge_ticks_->value() : 0;
-  }
-  std::int64_t dssp_gate_blocks() const {
-    return dssp_gate_blocks_ != nullptr ? dssp_gate_blocks_->value() : 0;
-  }
+  std::int64_t gate_wedge_ticks() const { return gate_wedge_ticks_.value(); }
+  std::int64_t dssp_gate_blocks() const { return dssp_gate_blocks_.value(); }
   /// Current adaptive bound (s_min when DSSP is disarmed).
   int staleness_bound() const {
     return staleness_ != nullptr ? staleness_->bound() : 0;
@@ -555,8 +514,6 @@ class Cluster {
   struct WorkerState {
     explicit WorkerState(sim::Simulator& sim) : sendq(sim) {}
     std::vector<std::unique_ptr<sim::VersionGate>> gates;  // per layer
-    std::vector<Bytes> param_bytes;  // received payload this round, per layer
-    std::vector<int> notify_count;   // notifications this round, per layer
     sim::PriorityQueue<SendItem, SendOrder> sendq;
     std::int64_t send_seq = 0;
     std::int64_t sendq_depth = 0;        ///< fragments queued right now
@@ -575,15 +532,25 @@ class Cluster {
     /// re-push after a leadership change: any slice whose resulting params
     /// were not yet received is re-sent to the new primary.
     std::vector<std::int64_t> last_push_iter;
-    /// Membership-mode notify bookkeeping (sized only when the plane is
-    /// armed). `notify_version[s]` is the newest round slice s was notified
-    /// complete for; `pulled_round[l]` is the last round layer l's pulls
-    /// were issued for. Versioned evidence replaces the raw notify counter
-    /// so a notify that died with a crashed server cannot wedge the layer:
-    /// parameters received through a recovery path count as evidence too.
-    std::vector<std::int64_t> notify_version;
+    /// Notify -> pull bookkeeping. `done_round[s]` is the newest round slice
+    /// s has evidence finished: a notify for it, or parameters past it
+    /// (version r + 1 ends round r). Recovery-path parameters count, so a
+    /// notify that died with a crashed server cannot wedge the layer. Per
+    /// layer, `wait_round[l]` is the round the layer last pushed (-1 = none
+    /// since start), `evidence[l]` counts its slices with evidence for that
+    /// round, and `pulled_round[l]` is the last round its pulls went out.
+    std::vector<std::int64_t> done_round;
+    std::vector<std::int64_t> wait_round;
+    std::vector<int> evidence;
     std::vector<std::int64_t> pulled_round;
     bool finished = false;  ///< reached the iteration target (counted once)
+
+    /// Slice `s` of `layer` learned that `round` finished; O(1).
+    void note_done(std::size_t s, std::size_t layer, std::int64_t round) {
+      const std::int64_t wait = wait_round[layer];
+      if (done_round[s] < wait && round >= wait) ++evidence[layer];
+      done_round[s] = std::max(done_round[s], round);
+    }
   };
 
   struct PendingPull {
@@ -605,7 +572,7 @@ class Cluster {
     std::int64_t rx_seq = 0;
     std::int64_t rxq_depth = 0;          ///< items queued right now
     obs::Gauge* rxq_gauge = nullptr;     ///< registry view of rxq_depth
-    std::vector<Bytes> round_bytes;            // per slice
+    std::vector<Bytes> round_bytes;  // per slice; plain runs only
     std::vector<std::int64_t> version;         // per slice
     std::vector<std::vector<PendingPull>> pending;  // per slice
     // Membership plane only:
@@ -759,10 +726,10 @@ class Cluster {
   /// Re-push every slice of `group` whose parameters have not returned to
   /// worker `w` yet; called after the node's leadership view moves.
   void worker_repush_group(int w, int group);
-  /// Membership-mode pull trigger: issue the layer's pulls once every slice
-  /// has evidence its round completed (a notify, or parameters that arrived
-  /// through a recovery path). Fires at the same event as the legacy notify
-  /// counter in fault-free runs.
+  /// Notify -> pull trigger (the KVStore Baseline, Section 4.2): issue the
+  /// layer's pulls once every slice has evidence its round completed (a
+  /// notify, or parameters that arrived through a recovery path). O(1)
+  /// until it fires: it reads the layer's running evidence count.
   void maybe_pull_layer(int w, int layer);
   /// The node a worker should address for `slice` (its view's leader).
   int slice_dst_node(int worker, std::int64_t slice) const;
@@ -980,8 +947,20 @@ class Cluster {
   obs::Counter& supersessions_;
   obs::Counter& parked_pushes_;
   obs::Counter& quorum_denied_failovers_;
+  obs::Counter& agg_combined_pushes_;
+  obs::Counter& agg_param_broadcasts_;
+  obs::Counter& agg_fallback_pushes_;
+  obs::Counter& drains_started_;
+  obs::Counter& drains_completed_;
+  obs::Counter& scale_decisions_;
+  obs::Counter& sheds_;
+  obs::Counter& slo_violation_ticks_;
+  obs::Counter& dssp_gate_blocks_;
+  obs::Counter& staleness_violations_;
+  obs::Counter& gate_wedge_ticks_;
   obs::Histogram& iter_time_hist_;
   obs::Histogram& stall_time_hist_;
+  obs::Histogram& dssp_wait_hist_;
 
   bool reliable_ = false;
   std::int64_t next_msg_id_ = 0;
@@ -995,7 +974,8 @@ class Cluster {
   static constexpr std::size_t kDedupGcThreshold = 4096;
   Rng rto_rng_{0};  ///< consumed only when rto_jitter > 0
 
-  // Membership plane (sized only when armed).
+  // Membership plane (sized only when armed, except `node_state_`: every
+  // node stays up and joined unless the plane changes it).
   bool membership_on_ = false;
   std::vector<NodeState> node_state_;
   std::vector<std::unique_ptr<Membership>> membership_;    // per node
@@ -1063,11 +1043,6 @@ class Cluster {
       agg_rounds_;
   std::unordered_map<std::int64_t, AggCover> agg_cover_;
   std::int64_t next_agg_id_ = 0;
-  // Registered only while aggregation is armed, so flat runs keep the exact
-  // pre-hierarchy registry contents.
-  obs::Counter* agg_combined_pushes_ = nullptr;
-  obs::Counter* agg_param_broadcasts_ = nullptr;
-  obs::Counter* agg_fallback_pushes_ = nullptr;
 
   // Voluntary drain + autoscaling (inert unless armed: planned leaves or an
   // enabled autoscaler).
@@ -1100,13 +1075,6 @@ class Cluster {
   /// (slower rounds -> higher p99 -> more shedding). -1 = never shed.
   std::int64_t unshed_iter_count_ = -1;
   std::vector<TimeS> scale_decision_times_;
-  // Registered only while the scale plane is armed, so fixed-membership
-  // runs keep the exact pre-autoscaler registry contents.
-  obs::Counter* drains_started_ = nullptr;
-  obs::Counter* drains_completed_ = nullptr;
-  obs::Counter* scale_decisions_ = nullptr;
-  obs::Counter* sheds_ = nullptr;
-  obs::Counter* slo_violation_ticks_ = nullptr;
 
   // DSSP dynamic bounded-staleness gate (inert unless method == kDSSP).
   bool dssp_on_ = false;
@@ -1132,12 +1100,6 @@ class Cluster {
       dssp_future_;
   double dssp_wait_sum_ = 0.0;
   std::int64_t dssp_passages_ = 0;
-  // Registered only while DSSP is armed, so every other method keeps the
-  // exact pre-DSSP registry contents.
-  obs::Counter* dssp_gate_blocks_ = nullptr;
-  obs::Counter* staleness_violations_ = nullptr;
-  obs::Counter* gate_wedge_ticks_ = nullptr;
-  obs::Histogram* dssp_wait_hist_ = nullptr;
   std::vector<obs::Gauge*> dssp_gap_gauge_;  ///< per worker: clock - floor
 };
 

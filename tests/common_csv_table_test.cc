@@ -19,8 +19,15 @@ std::string read_file(const std::string& path) {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/p3_csv_test.csv";
+  // One file per test: ctest runs each case as its own process, so the
+  // cases may run concurrently.
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "/p3_csv_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
+  }
   void TearDown() override { std::remove(path_.c_str()); }
+  std::string path_;
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "net/network.h"
+#include "trace/timeline.h"
 
 namespace p3::net {
 namespace {
@@ -239,7 +240,7 @@ TEST(NetworkFaults, TimelineRecordsDropSpans) {
   sim::Simulator sim;
   Network net(sim, 2, test_config(gbps(1), 0.0));
   trace::Timeline tl;
-  net.attach_timeline(&tl);
+  net.attach_tracer(&tl.tracer());
   FaultPlan plan;
   plan.drop_prob = 1.0;
   FaultInjector inj(plan);

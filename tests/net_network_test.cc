@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/sync.h"
+#include "trace/timeline.h"
 
 namespace p3::net {
 namespace {
@@ -331,7 +332,7 @@ TEST(Network, TimelineRecordsSpans) {
   sim::Simulator sim;
   Network net(sim, 2, test_config(gbps(1), 0.0));
   trace::Timeline tl;
-  net.attach_timeline(&tl);
+  net.attach_tracer(&tl.tracer());
   Message m = msg(0, 1, 125'000'000);
   m.layer = 2;
   net.post(m);

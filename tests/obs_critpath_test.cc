@@ -213,10 +213,9 @@ TEST(Critpath, RunResultExportsBlameShares) {
   const RunResult run = cluster.run(1, 3);
   const obs::BlameReport blame = obs::analyze_critical_path(tracer, 1);
   ASSERT_FALSE(blame.iterations.empty());
-  EXPECT_EQ(run.blame_iterations,
-            static_cast<std::int64_t>(blame.iterations.size()));
-  EXPECT_DOUBLE_EQ(run.blame_network_share, blame.network_share());
-  EXPECT_DOUBLE_EQ(run.blame_backward_share,
+  EXPECT_EQ(run.blame.iterations.size(), blame.iterations.size());
+  EXPECT_DOUBLE_EQ(run.blame.network_share(), blame.network_share());
+  EXPECT_DOUBLE_EQ(run.blame.share(obs::Blame::kBackward),
                    blame.share(obs::Blame::kBackward));
   const obs::Gauge* g = cluster.metrics().find_gauge("blame.network_share");
   ASSERT_NE(g, nullptr);
@@ -227,7 +226,7 @@ TEST(Critpath, UntracedRunExportsNothing) {
   const ClusterConfig cfg = base_config(SyncMethod::kP3);
   Cluster cluster(small_workload(), cfg);
   const RunResult run = cluster.run(1, 3);
-  EXPECT_EQ(run.blame_iterations, 0);
+  EXPECT_TRUE(run.blame.iterations.empty());
   EXPECT_EQ(cluster.metrics().find_gauge("blame.network_share"), nullptr);
 }
 

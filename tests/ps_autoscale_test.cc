@@ -498,7 +498,7 @@ TEST(AutoscalerEndToEnd, LooseSloDrainsTheSurplusJoiner) {
 
 // ---------------------------------------------------------------------------
 // Satellite (f) guard: with no leaves and no autoscaler the scale plane
-// stays dark — no scale metrics registered, no drain state, zero result
+// stays dark — scale metrics stay at zero, no drain state, zero result
 // deltas from the plane.
 // ---------------------------------------------------------------------------
 
@@ -509,8 +509,11 @@ TEST(ScalePlane, StaysInertWithoutLeavesOrAutoscaler) {
   const auto result = cluster.run(1, 5);
   cluster.drain();
   EXPECT_FALSE(cluster.scale_plane_armed());
-  EXPECT_EQ(cluster.metrics().find_counter("scale.drains_started"), nullptr);
-  EXPECT_EQ(cluster.metrics().find_counter("scale.decisions"), nullptr);
+  for (const char* name : {"scale.drains_started", "scale.decisions"}) {
+    const obs::Counter* counter = cluster.metrics().find_counter(name);
+    ASSERT_NE(counter, nullptr) << name;
+    EXPECT_EQ(counter->value(), 0) << name;
+  }
   EXPECT_EQ(result.drains_started, 0);
   EXPECT_EQ(result.scale_decisions, 0);
   EXPECT_EQ(result.sheds, 0);

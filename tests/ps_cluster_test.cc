@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "model/zoo.h"
+#include "trace/timeline.h"
 
 namespace p3::ps {
 namespace {
@@ -262,7 +263,7 @@ TEST(ClusterTimeline, RecordsComputeAndServerLanes) {
   model::Workload w = small_workload(2, 50'000, 0.004);
   Cluster cluster(w, small_config(SyncMethod::kP3, 2, 10.0));
   trace::Timeline tl;
-  cluster.attach_timeline(&tl);
+  cluster.attach_tracer(&tl.tracer());
   cluster.run(0, 2);
   cluster.drain();
   EXPECT_FALSE(tl.lane_spans("w0.cmp").empty());

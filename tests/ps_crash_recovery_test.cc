@@ -100,6 +100,33 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, CrashFailover,
                          ::testing::ValuesIn(kAllMethods));
 
 // ---------------------------------------------------------------------------
+// Baseline notify -> pull across a failover: parameters that reach a worker
+// through a recovery path (the new primary's stale-push reply) count as
+// evidence that their round finished, so the other slices of a multi-slice
+// layer are still pulled when the dead primary's notify never arrived. The
+// crash times sit inside the windows where a trigger that ignores that
+// evidence wedges.
+// ---------------------------------------------------------------------------
+
+TEST(CrashRecovery, RecoveredParamsCountAsNotifyEvidence) {
+  for (const TimeS at : {0.0215, 0.0630, 0.1005}) {
+    ClusterConfig cfg;
+    cfg.n_workers = 4;
+    cfg.method = SyncMethod::kBaseline;
+    cfg.bandwidth = gbps(1.0);
+    cfg.kvstore_threshold = 50'000;  // every layer spans all four servers
+    cfg.replication = 2;
+    cfg.max_sim_time = 30.0;
+    cfg.faults.crashes.push_back({1, at, 0.0});
+    Cluster cluster(small_workload(4, 120'000, 0.010), cfg);
+    const int iterations = 6;
+    EXPECT_NO_THROW(cluster.run(1, iterations - 1)) << "crash at " << at;
+    cluster.drain();
+    expect_recovered(cluster, 4, iterations, {0, 2, 3});
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Worker crash + restart on dedicated servers: the worker rejoins under the
 // bounded-staleness window and still reaches the iteration target.
 // ---------------------------------------------------------------------------

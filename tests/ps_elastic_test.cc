@@ -93,7 +93,9 @@ TEST_P(ElasticJoin, JoinMigratesShardsAndConverges) {
   // a pure leadership transfer).
   const bool sliced = GetParam() == SyncMethod::kSlicingOnly ||
                       GetParam() == SyncMethod::kP3;
-  if (sliced) EXPECT_GT(result.migrated_bytes, 0);
+  if (sliced) {
+    EXPECT_GT(result.migrated_bytes, 0);
+  }
   EXPECT_GT(result.lease_renewals, 0);
   EXPECT_EQ(result.dual_primary_windows, 0);
   // Every view converged on the joiner leading group 0.

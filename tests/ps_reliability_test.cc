@@ -101,13 +101,17 @@ INSTANTIATE_TEST_SUITE_P(
 // Idempotency: a retransmitted push is never double-aggregated.
 // ---------------------------------------------------------------------------
 
+// Every link gets 200 ms of extra latency and no loss: the round trip
+// exceeds the 50 ms RTO floor, so nearly every message is retransmitted
+// before its ack returns.
+void add_spurious_retransmit_regime(ClusterConfig& cfg) {
+  cfg.faults.degradations.push_back({-1, 0.0, 1e6, 1.0, ms(200)});
+}
+
 TEST(Reliability, SpuriousRetransmitsNeverDoubleAggregate) {
-  // Force the layer on with no faults and an absurdly aggressive RTO, so
-  // nearly every message is retransmitted before its ack returns. Dedup
-  // must suppress every duplicate or slice versions would overshoot.
+  // Dedup must suppress every duplicate or slice versions would overshoot.
   ClusterConfig cfg = small_config(SyncMethod::kP3);
-  cfg.reliable_transport = true;
-  cfg.fixed_rto = us(50);  // far below the RTT: every ack loses the race
+  add_spurious_retransmit_regime(cfg);
   Cluster cluster(small_workload(), cfg);
   const int iterations = 3;
   cluster.run(0, iterations);
@@ -125,8 +129,7 @@ TEST(Reliability, SpuriousRetransmitsNeverDoubleAggregate) {
 
 TEST(Reliability, BaselineNotifyPullSurviveSpuriousRetransmits) {
   ClusterConfig cfg = small_config(SyncMethod::kBaseline);
-  cfg.reliable_transport = true;
-  cfg.fixed_rto = us(50);
+  add_spurious_retransmit_regime(cfg);
   Cluster cluster(small_workload(), cfg);
   const int iterations = 3;
   cluster.run(0, iterations);
