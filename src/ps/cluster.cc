@@ -313,6 +313,7 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     ws->wait_round.assign(static_cast<std::size_t>(layers), -1);
     ws->evidence.assign(static_cast<std::size_t>(layers), 0);
     ws->pulled_round.assign(static_cast<std::size_t>(layers), -1);
+    ws->past_gate.assign(static_cast<std::size_t>(layers), 0);
     ws->sendq_gauge = &registry_.gauge(lane("w", w, ".sendq_depth"));
     workers_.push_back(std::move(ws));
 
@@ -1476,6 +1477,7 @@ void Cluster::worker_on_param(int w, const net::Message& m) {
       partition_.slices[si].payload_bytes()) {
     return;
   }
+  const std::int64_t held = ws.recv_version[si];
   ws.recv_version[si] = m.version;
   ws.recv_inflight[si] = -1;
   ws.recv_bytes[si] = 0;
@@ -1493,14 +1495,29 @@ void Cluster::worker_on_param(int w, const net::Message& m) {
     lc(obs::Stage::kParamReady, w, m.slice, m.version - 1,
        partition_.slices[si].payload_bytes());
   }
-  // The layer's forward gate opens at the oldest complete slice version
-  // (identical to the byte-count trigger when deliveries are exactly-once).
-  std::int64_t layer_min = m.version;
-  for (auto s : partition_.layer_slices[layer]) {
-    layer_min = std::min(layer_min,
-                         ws.recv_version[static_cast<std::size_t>(s)]);
+  // The layer's forward gate opens at its oldest complete slice version.
+  // That minimum can pass the gate only once every slice is past it, so
+  // the layer is scanned only then, not on every delivery.
+  auto& gate = *ws.gates[layer];
+  const auto& slices = partition_.layer_slices[layer];
+  if (held <= gate.version() && m.version > gate.version() &&
+      ++ws.past_gate[layer] == static_cast<int>(slices.size())) {
+    std::int64_t layer_min = m.version;
+    for (auto s : slices) {
+      layer_min = std::min(layer_min,
+                           ws.recv_version[static_cast<std::size_t>(s)]);
+    }
+    if (layer_min <= gate.version()) {
+      throw std::logic_error("forward gate count out of step with its layer");
+    }
+    gate.advance_to(layer_min);
+    // Slices already ahead of the new minimum (DSSP run-ahead) stay past it.
+    int past = 0;
+    for (auto s : slices) {
+      if (ws.recv_version[static_cast<std::size_t>(s)] > layer_min) ++past;
+    }
+    ws.past_gate[layer] = past;
   }
-  ws.gates[layer]->advance_to(layer_min);
   maybe_pull_layer(w, m.layer);
 }
 
@@ -2952,6 +2969,7 @@ void Cluster::teardown_process_state(int node) {
     ws.done_round.assign(ws.done_round.size(), -1);
     ws.evidence.assign(ws.evidence.size(), 0);
     ws.pulled_round.assign(ws.pulled_round.size(), -1);
+    ws.past_gate.assign(ws.past_gate.size(), 0);  // gates never fall below 0
     ws.recv_version.assign(ws.recv_version.size(), -1);  // holds nothing
     ws.recv_bytes.assign(ws.recv_bytes.size(), 0);
     ws.recv_inflight.assign(ws.recv_inflight.size(), -1);

@@ -543,6 +543,10 @@ class Cluster {
     std::vector<std::int64_t> wait_round;
     std::vector<int> evidence;
     std::vector<std::int64_t> pulled_round;
+    /// Forward-gate bookkeeping, per layer: how many of its slices hold a
+    /// complete `recv_version` past the layer's gate. The gate (the oldest
+    /// complete slice version) can move only once every slice is past it.
+    std::vector<int> past_gate;
     bool finished = false;  ///< reached the iteration target (counted once)
 
     /// Slice `s` of `layer` learned that `round` finished; O(1).
