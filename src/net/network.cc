@@ -91,10 +91,7 @@ TimeS Network::post(Message m) {
       monitor_->record(m.src, Direction::kOut, tx_start, tx_end, m.bytes);
     }
     const bool traced = tracer_ != nullptr && tracer_->enabled();
-    if (traced) {
-      tracer_->span("n" + std::to_string(m.src) + ".tx", tx_start, tx_end,
-                    message_label(m));
-    }
+    if (traced) trace_nic(m.src, kTxLane, tx_start, tx_end, m);
 
     if (faults_ != nullptr &&
         (faults_->should_drop(m, tx_start) || faults_->crashed(m.src, tx_start))) {
@@ -104,10 +101,7 @@ TimeS Network::post(Message m) {
       // bits die here too.
       ++dropped_;
       bytes_dropped_ += m.bytes;
-      if (traced) {
-        tracer_->span("n" + std::to_string(m.src) + ".drop", tx_start, tx_end,
-                      "x" + message_label(m));
-      }
+      if (traced) trace_nic(m.src, kDropLane, tx_start, tx_end, m);
       return tx_end;
     }
 
@@ -124,10 +118,7 @@ TimeS Network::post(Message m) {
       // The RX channel is not reserved — a dead NIC serves nobody.
       ++dropped_;
       bytes_dropped_ += m.bytes;
-      if (traced) {
-        tracer_->span("n" + std::to_string(m.dst) + ".drop", rx_start, rx_end,
-                      "x" + message_label(m));
-      }
+      if (traced) trace_nic(m.dst, kDropLane, rx_start, rx_end, m);
       return tx_end;
     }
 
@@ -139,10 +130,7 @@ TimeS Network::post(Message m) {
       // left the sender before the partition started.)
       ++dropped_;
       bytes_dropped_ += m.bytes;
-      if (traced) {
-        tracer_->span("n" + std::to_string(m.dst) + ".drop", rx_start, rx_end,
-                      "x" + message_label(m));
-      }
+      if (traced) trace_nic(m.dst, kDropLane, rx_start, rx_end, m);
       return tx_end;
     }
 
@@ -154,18 +142,8 @@ TimeS Network::post(Message m) {
       monitor_->record(m.dst, Direction::kIn, rx_start, rx_end, m.bytes);
     }
     if (traced) {
-      tracer_->span("n" + std::to_string(m.dst) + ".rx", rx_start, rx_end,
-                    message_label(m));
-      if (m.trace_id >= 0) {
-        // One arrow per delivered traced message, anchored inside the TX and
-        // RX spans recorded above.
-        const std::int64_t flow = next_flow_++;
-        const std::string label = message_label(m);
-        tracer_->flow_start("n" + std::to_string(m.src) + ".tx", tx_start,
-                            flow, label);
-        tracer_->flow_end("n" + std::to_string(m.dst) + ".rx", rx_start, flow,
-                          label);
-      }
+      trace_nic(m.dst, kRxLane, rx_start, rx_end, m);
+      if (m.trace_id >= 0) trace_flow(m, tx_start, rx_start);
     }
   }
 
@@ -199,27 +177,21 @@ TimeS Network::post_hier(Message m) {
     monitor_->record(m.src, Direction::kOut, tx_start, tx_end, m.bytes);
   }
   const bool traced = tracer_ != nullptr && tracer_->enabled();
-  if (traced) {
-    tracer_->span("n" + std::to_string(m.src) + ".tx", tx_start, tx_end,
-                  message_label(m));
-  }
+  if (traced) trace_nic(m.src, kTxLane, tx_start, tx_end, m);
 
   if (faults_ != nullptr &&
       (faults_->should_drop(m, tx_start) || faults_->crashed(m.src, tx_start))) {
     ++dropped_;
     bytes_dropped_ += m.bytes;
-    if (traced) {
-      tracer_->span("n" + std::to_string(m.src) + ".drop", tx_start, tx_end,
-                    "x" + message_label(m));
-    }
+    if (traced) trace_nic(m.src, kDropLane, tx_start, tx_end, m);
     return tx_end;
   }
 
   Message* slot = acquire(std::move(m));
   if (traced && slot->trace_id >= 0) {
     const std::int64_t flow = next_flow_++;
-    tracer_->flow_start("n" + std::to_string(slot->src) + ".tx", tx_start,
-                        flow, message_label(*slot));
+    tracer_->flow_start(nic_lane(slot->src, kTxLane), tx_start, flow,
+                        message_label_id(*tracer_, *slot));
     hier_flows_.emplace(slot, flow);
   }
   const int src_rack = rack_of_[static_cast<std::size_t>(slot->src)];
@@ -247,8 +219,8 @@ void Network::port_enqueue(int rack, bool up, Message* msg) {
   p.peak_queue =
       std::max(p.peak_queue, static_cast<std::int64_t>(p.queue.size()));
   if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->counter("r" + std::to_string(rack) + (up ? ".up.q" : ".dn.q"),
-                     sim_->now(), static_cast<double>(p.queue.size()));
+    tracer_->counter(port_lane(rack, up, true), sim_->now(),
+                     static_cast<double>(p.queue.size()));
   }
 }
 
@@ -260,8 +232,8 @@ void Network::port_start(int rack, bool up, PortJob job) {
   p.bytes += job.msg->bytes;
   p.busy_time += end - start;
   if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->span("r" + std::to_string(rack) + (up ? ".up" : ".dn"), start,
-                  end, message_label(*job.msg));
+    tracer_->span(port_lane(rack, up, false), start, end,
+                  message_label_id(*tracer_, *job.msg));
   }
   Message* msg = job.msg;
   sim_->schedule_at(end, [this, rack, up, msg] { port_done(rack, up, msg); });
@@ -342,11 +314,10 @@ void Network::arrive_rx(Message* msg) {
     monitor_->record(msg->dst, Direction::kIn, rx_start, rx_end, msg->bytes);
   }
   if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->span("n" + std::to_string(msg->dst) + ".rx", rx_start, rx_end,
-                  message_label(*msg));
+    trace_nic(msg->dst, kRxLane, rx_start, rx_end, *msg);
     if (flow >= 0) {
-      tracer_->flow_end("n" + std::to_string(msg->dst) + ".rx", rx_start,
-                        flow, message_label(*msg));
+      tracer_->flow_end(nic_lane(msg->dst, kRxLane), rx_start, flow,
+                        message_label_id(*tracer_, *msg));
     }
   }
   schedule_delivery(dst.rx, rx_end, msg);
@@ -356,10 +327,42 @@ void Network::drop_at_rx(Message* msg, TimeS rx_start, TimeS rx_end) {
   ++dropped_;
   bytes_dropped_ += msg->bytes;
   if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->span("n" + std::to_string(msg->dst) + ".drop", rx_start, rx_end,
-                  "x" + message_label(*msg));
+    trace_nic(msg->dst, kDropLane, rx_start, rx_end, *msg);
   }
   release(msg);
+}
+
+std::uint32_t Network::nic_lane(int node, NicLane lane) {
+  static constexpr const char* kSuffix[] = {".tx", ".rx", ".drop"};
+  return tracer_->track(
+      obs::KeySpace::kNicLane, static_cast<std::size_t>(node) * 3 + lane,
+      [&] { return "n" + std::to_string(node) + kSuffix[lane]; });
+}
+
+std::uint32_t Network::port_lane(int rack, bool up, bool queue) {
+  const std::size_t key =
+      static_cast<std::size_t>(rack) * 4 + (up ? 0 : 2) + (queue ? 1 : 0);
+  return tracer_->track(obs::KeySpace::kPortLane, key, [&] {
+    return "r" + std::to_string(rack) + (up ? ".up" : ".dn") +
+           (queue ? ".q" : "");
+  });
+}
+
+void Network::trace_nic(int node, NicLane lane, TimeS t0, TimeS t1,
+                        const Message& m) {
+  tracer_->span(nic_lane(node, lane), t0, t1,
+                message_label_id(*tracer_, m,
+                                 lane == kDropLane ? LabelMark::kDropped
+                                                   : LabelMark::kNone));
+}
+
+void Network::trace_flow(const Message& m, TimeS tx_start, TimeS rx_start) {
+  // One arrow per delivered traced message, anchored inside the TX and RX
+  // spans recorded before it.
+  const std::int64_t flow = next_flow_++;
+  const std::uint32_t label = message_label_id(*tracer_, m);
+  tracer_->flow_start(nic_lane(m.src, kTxLane), tx_start, flow, label);
+  tracer_->flow_end(nic_lane(m.dst, kRxLane), rx_start, flow, label);
 }
 
 int Network::rack_of(int node) const {
@@ -523,6 +526,23 @@ std::string message_label(const Message& m) {
       break;
   }
   return prefix + "L" + std::to_string(m.layer);
+}
+
+std::uint32_t message_label_id(obs::Tracer& tracer, const Message& m,
+                               LabelMark mark) {
+  // Layers run from -1 (none) up; any other layer is interned by name.
+  constexpr std::size_t kKinds = std::size_t{1} << (8 * sizeof(MsgKind));
+  constexpr std::size_t kMarks = 3;
+  std::size_t key = obs::Tracer::kMaxCachedKey;
+  if (m.layer >= -1) {
+    const std::size_t layer = static_cast<std::size_t>(m.layer) + 1;
+    key = (layer * kKinds + static_cast<std::size_t>(m.kind)) * kMarks +
+          static_cast<std::size_t>(mark);
+  }
+  return tracer.label(obs::KeySpace::kMessageLabel, key, [&] {
+    static constexpr const char* kMark[] = {"", "x", "r"};
+    return kMark[static_cast<std::size_t>(mark)] + message_label(m);
+  });
 }
 
 }  // namespace p3::net

@@ -239,6 +239,18 @@ class Network {
   }
   void drop_at_rx(Message* msg, TimeS rx_start, TimeS rx_end);
 
+  // Trace recording. Kept out of line, so each traced branch of post() is
+  // one call and the untraced path stays compact.
+  enum NicLane : int { kTxLane, kRxLane, kDropLane };
+  std::uint32_t nic_lane(int node, NicLane lane);
+  std::uint32_t port_lane(int rack, bool up, bool queue);
+  /// `m`'s span on a NIC lane; a drop lane marks the label 'x'.
+  [[gnu::noinline]] void trace_nic(int node, NicLane lane, TimeS t0, TimeS t1,
+                                   const Message& m);
+  /// Flat-path arrow from the sender's TX span to the receiver's RX span.
+  [[gnu::noinline]] void trace_flow(const Message& m, TimeS tx_start,
+                                    TimeS rx_start);
+
   sim::Simulator* sim_;
   NetworkConfig config_;
   std::vector<Nic> nics_;
@@ -272,5 +284,14 @@ class Network {
 
 /// Human-readable label for timeline spans ("push L3", "param L1", ...).
 std::string message_label(const Message& m);
+
+/// Mark in front of a message label: "x" for a copy lost in the fabric, "r"
+/// for a retransmission.
+enum class LabelMark : std::uint8_t { kNone, kDropped, kRetransmit };
+
+/// Id of `mark` + message_label(m) in `tracer`'s label table, resolved through
+/// the tracer's id cache.
+std::uint32_t message_label_id(obs::Tracer& tracer, const Message& m,
+                               LabelMark mark = LabelMark::kNone);
 
 }  // namespace p3::net

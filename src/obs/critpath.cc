@@ -9,7 +9,8 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
+#include <tuple>
+#include <utility>
 
 namespace p3::obs {
 
@@ -49,18 +50,11 @@ struct Interval {
   double hi = 0.0;
 };
 
-struct TxBusy {
-  double lo = 0.0;
-  double hi = 0.0;
-  int priority = -1;      ///< slice priority of the label's layer, -1 unknown
-  bool gradient = false;  ///< label carried gradient payload ('g'/'a')
-};
-
-struct FlowRec {
-  std::uint32_t start_track = 0;
-  double start_t = 0.0;
+struct FlowStart {
+  std::int64_t flow = -1;
+  std::uint32_t track = 0;
   std::uint32_t label = 0;
-  bool has_start = false;
+  double t = 0.0;
 };
 
 struct FlowEndRef {
@@ -75,12 +69,17 @@ struct LabelInfo {
   char kind = 0;
   int num = -1;
   bool l_suffix = false;
+  /// On a NIC lane: the label carries gradient payload ('g'/'a').
+  bool gradient = false;
+  /// Slice priority of the label's layer ('L' suffix only), -1 unknown.
+  int priority = -1;
 };
 
 LabelInfo parse_label(const std::string& s) {
   LabelInfo info;
   if (s.empty()) return info;
   info.kind = s.front();
+  info.gradient = info.kind == 'g' || info.kind == 'a';
   std::size_t end = s.size();
   std::size_t begin = end;
   while (begin > 0 && std::isdigit(static_cast<unsigned char>(s[begin - 1]))) {
@@ -108,10 +107,10 @@ bool parse_lane(const std::string& name, char& prefix, int& id,
   return true;
 }
 
-std::vector<Interval> merge_intervals(std::vector<Interval> v) {
-  std::sort(v.begin(), v.end(), [](const Interval& a, const Interval& b) {
-    return a.lo < b.lo || (a.lo == b.lo && a.hi < b.hi);
-  });
+/// Union of `v`'s intervals, given in ascending `lo` order. Touching
+/// intervals merge and empty ones drop out, so the union does not depend on
+/// the order of intervals with equal `lo`.
+std::vector<Interval> merge_intervals(const std::vector<Interval>& v) {
   std::vector<Interval> out;
   for (const Interval& iv : v) {
     if (iv.hi <= iv.lo) continue;
@@ -148,13 +147,19 @@ Cover cover_at(const std::vector<Interval>& ivs, double t) {
   return c;
 }
 
+/// The stages of one (worker, slice, iteration) the walk reads, gathered on
+/// lookup from the group index.
 struct Lifecycle {
   std::array<double, kNumStages> first{};
-  std::array<double, kNumStages> last{};
   std::array<int, kNumStages> n{};
-  std::vector<double> sends;     ///< every kSend time, ascending
-  std::vector<double> enqueues;  ///< every kEnqueue time, ascending
+  std::vector<double> sends;     ///< every kSend time, in record order
+  std::vector<double> enqueues;  ///< every kEnqueue time, in record order
 };
+
+bool walk_reads(Stage s) {
+  return s == Stage::kGradReady || s == Stage::kEnqueue ||
+         s == Stage::kSend || s == Stage::kPull;
+}
 
 std::int64_t group_key(int worker, std::int64_t slice, std::int64_t iter) {
   return make_trace_id(slice, iter, worker);
@@ -169,138 +174,183 @@ std::int64_t gate_key(int worker, int layer, std::int64_t iter) {
          ((iter & 0xFFFFFFFF) << 8) | (worker & 0xFF);
 }
 
-struct Graph {
-  std::vector<LabelInfo> labels;
+/// A lifecycle record filed under `key`; `value` is the contributor
+/// (server-recv index) or the slice (param-ready index).
+struct Keyed {
+  std::int64_t key = 0;
+  double t = 0.0;
+  std::int64_t value = 0;
 
-  std::unordered_map<int, std::vector<CmpSpan>> cmp;      // worker -> spans
-  std::unordered_map<int, std::vector<double>> iter_end;  // worker -> B1 t1s
-  std::unordered_map<int, double> iter0_start;            // worker -> F1.t0
-  std::unordered_map<int, std::vector<SpanRef>> rx, tx, srv;
-  std::unordered_map<int, std::vector<SpanRef>> folds;  // agg fold marks
-  std::unordered_map<int, std::vector<Interval>> hold;  // park/shed windows
-  std::unordered_map<int, std::vector<Interval>> ssp;   // DSSP gate blocks
-  std::unordered_map<int, std::vector<TxBusy>> tx_busy;
-  std::vector<Interval> up_busy, dn_busy;
-
-  std::unordered_map<std::int64_t, FlowRec> flows;
-  std::unordered_map<std::uint32_t, std::vector<FlowEndRef>> flow_ends;
-  std::unordered_map<std::uint32_t, std::vector<SpanRef>> spans_by_track;
-
-  std::unordered_map<std::int64_t, Lifecycle> groups;
-  // (slice, iter) -> (t, worker) of every kServerRecv, ascending by t
-  std::unordered_map<std::int64_t, std::vector<std::pair<double, int>>>
-      server_recv;
-  // (worker, layer, iter) -> (t, slice) of every kParamReady, ascending
-  std::unordered_map<std::int64_t, std::vector<std::pair<double, std::int64_t>>>
-      param_ready;
-  std::unordered_map<std::int64_t, int> slice_priority;
-  std::unordered_map<int, int> layer_priority;
-
-  const LabelInfo& info(std::uint32_t id) const { return labels[id]; }
+  bool operator<(const Keyed& o) const {
+    return std::tie(key, t, value) < std::tie(o.key, o.t, o.value);
+  }
 };
 
-void sort_spans(std::vector<SpanRef>& v) {
-  std::stable_sort(v.begin(), v.end(), [](const SpanRef& a, const SpanRef& b) {
-    return a.t0 < b.t0;
-  });
+/// Entries under `key` of an index sorted by (key, t, value).
+std::pair<const Keyed*, const Keyed*> entries(const std::vector<Keyed>& index,
+                                              std::int64_t key) {
+  const Keyed* lo = std::lower_bound(
+      index.data(), index.data() + index.size(), key,
+      [](const Keyed& k, std::int64_t x) { return k.key < x; });
+  const Keyed* hi = std::upper_bound(
+      lo, index.data() + index.size(), key,
+      [](std::int64_t x, const Keyed& k) { return x < k.key; });
+  return {lo, hi};
 }
 
-Graph build_graph(const Tracer& tracer, std::vector<std::string>& problems) {
-  Graph g;
-  if (!tracer.events().empty()) {
-    std::uint32_t max_label = 0;
-    for (const Event& e : tracer.events()) {
-      max_label = std::max(max_label, e.label);
-    }
-    g.labels.resize(static_cast<std::size_t>(max_label) + 1);
-    for (std::uint32_t i = 0; i <= max_label; ++i) {
-      g.labels[i] = parse_label(tracer.label_text(i));
-    }
-  }
+/// Latest entry of [lo, hi) at or before `t`, nullptr if none.
+const Keyed* last_at_or_before(const Keyed* lo, const Keyed* hi, double t) {
+  const Keyed* it = std::upper_bound(
+      lo, hi, t, [](double x, const Keyed& k) { return x < k.t; });
+  return it == lo ? nullptr : it - 1;
+}
 
-  struct LaneKind {
-    char cls = 0;  ///< 'c' cmp, 'r' rx, 't' tx, 's' srv, 'a' agg, 'h' hold,
-                   ///< 'S' ssp gate, 'u' up-port, 'd' dn-port, 0 ignored
-    int id = 0;
-  };
-  std::vector<LaneKind> lanes(tracer.tracks().size());
-  for (std::size_t t = 0; t < tracer.tracks().size(); ++t) {
-    char prefix = 0;
-    int id = 0;
-    std::string suffix;
-    if (!parse_lane(tracer.tracks()[t].name, prefix, id, suffix)) continue;
-    LaneKind lk;
-    lk.id = id;
-    if (prefix == 'w' && suffix == ".cmp") lk.cls = 'c';
-    if (prefix == 'w' && suffix == ".hold") lk.cls = 'h';
-    if (prefix == 'w' && suffix == ".ssp") lk.cls = 'S';
-    if (prefix == 'n' && suffix == ".rx") lk.cls = 'r';
-    if (prefix == 'n' && suffix == ".tx") lk.cls = 't';
-    if (prefix == 'n' && suffix == ".srv") lk.cls = 's';
-    if (prefix == 'n' && suffix == ".agg") lk.cls = 'a';
-    if (prefix == 'r' && suffix == ".up") lk.cls = 'u';
-    if (prefix == 'r' && suffix == ".dn") lk.cls = 'd';
-    lanes[t] = lk;
-  }
+/// Lane classes the walk reads, from the lane naming convention.
+enum LaneClass : std::uint8_t {
+  kNoLane,
+  kCmpLane,   ///< "w<i>.cmp"
+  kHoldLane,  ///< "w<i>.hold"
+  kSspLane,   ///< "w<i>.ssp" (DSSP gate blocks)
+  kRxLane,    ///< "n<i>.rx"
+  kTxLane,    ///< "n<i>.tx"
+  kSrvLane,   ///< "n<i>.srv"
+  kAggLane,   ///< "n<i>.agg" (rack fold marks)
+  kUpLane,    ///< "r<i>.up"
+  kDnLane,    ///< "r<i>.dn"
+};
+constexpr std::size_t kLaneClasses = 10;
 
-  std::vector<Interval> up_raw, dn_raw;
-  std::unordered_map<int, std::vector<Interval>> hold_raw, ssp_raw;
-  std::unordered_map<int, std::vector<SpanRef>> cmp_raw;
+struct LaneKind {
+  LaneClass cls = kNoLane;
+  int id = -1;  ///< number in the lane name; -1 if the name does not parse
+};
+
+LaneKind classify_lane(const std::string& name) {
+  char prefix = 0;
+  int id = 0;
+  std::string suffix;
+  LaneKind lk;
+  if (!parse_lane(name, prefix, id, suffix)) return lk;
+  lk.id = id;
+  if (prefix == 'w' && suffix == ".cmp") lk.cls = kCmpLane;
+  if (prefix == 'w' && suffix == ".hold") lk.cls = kHoldLane;
+  if (prefix == 'w' && suffix == ".ssp") lk.cls = kSspLane;
+  if (prefix == 'n' && suffix == ".rx") lk.cls = kRxLane;
+  if (prefix == 'n' && suffix == ".tx") lk.cls = kTxLane;
+  if (prefix == 'n' && suffix == ".srv") lk.cls = kSrvLane;
+  if (prefix == 'n' && suffix == ".agg") lk.cls = kAggLane;
+  if (prefix == 'r' && suffix == ".up") lk.cls = kUpLane;
+  if (prefix == 'r' && suffix == ".dn") lk.cls = kDnLane;
+  return lk;
+}
+
+template <class T>
+const std::vector<T>& by_id(const std::vector<std::vector<T>>& v, int id) {
+  static const std::vector<T> kNone;
+  return id >= 0 && static_cast<std::size_t>(id) < v.size()
+             ? v[static_cast<std::size_t>(id)]
+             : kNone;
+}
+
+constexpr int kUnknownPriority = std::numeric_limits<int>::min();
+
+struct Graph {
+  std::vector<LabelInfo> labels;
+  std::vector<LaneKind> lanes;  ///< per track
+  /// Per track: its spans, ascending by t0 (ties in record order). Every
+  /// other span view of the graph is a lookup into these.
+  std::vector<std::vector<SpanRef>> spans;
+  /// Per track: flow ends, ascending by t (ties in record order).
+  std::vector<std::vector<FlowEndRef>> flow_ends;
+  /// Flow starts ascending by id (ties in record order; the last wins).
+  std::vector<FlowStart> flow_starts;
+  /// Per lane class: lane number -> track, -1 where there is none.
+  std::array<std::vector<std::int32_t>, kLaneClasses> track_of;
+
+  std::vector<int> workers;  ///< ids with compute spans, ascending
+  std::vector<std::vector<CmpSpan>> cmp;      ///< worker -> spans
+  std::vector<std::vector<double>> iter_end;  ///< worker -> B1 t1s
+  std::vector<double> iter0_start;            ///< worker -> first F1 t0
+  std::vector<std::vector<Interval>> hold;    ///< park/shed windows
+  std::vector<std::vector<Interval>> ssp;     ///< DSSP gate blocks
+  std::vector<Interval> up_busy, dn_busy;
+
+  const std::vector<LifecycleRecord>* records = nullptr;
+  /// (group_key, record index) of the records the walk reads, sorted.
+  std::vector<std::pair<std::int64_t, std::uint32_t>> groups;
+  /// slice_iter_key -> (t, worker) of every kServerRecv.
+  std::vector<Keyed> server_recv;
+  /// gate_key -> (t, slice) of every kParamReady.
+  std::vector<Keyed> param_ready;
+  std::vector<int> slice_priority;  ///< slice -> first priority seen
+
+  const LabelInfo& info(std::uint32_t id) const { return labels[id]; }
+
+  /// Spans of lane `id` of class `cls`; nullptr if the trace has no such
+  /// lane.
+  const std::vector<SpanRef>* lane(LaneClass cls, int id) const {
+    const auto& tracks = track_of[cls];
+    if (id < 0 || static_cast<std::size_t>(id) >= tracks.size()) {
+      return nullptr;
+    }
+    const std::int32_t t = tracks[static_cast<std::size_t>(id)];
+    return t < 0 ? nullptr : &spans[static_cast<std::size_t>(t)];
+  }
+};
+
+template <class T, class Less>
+void sort_unless_sorted(std::vector<T>& v, Less less) {
+  if (!std::is_sorted(v.begin(), v.end(), less)) {
+    std::stable_sort(v.begin(), v.end(), less);
+  }
+}
+
+/// Union of the spans on `tracks` (-1 entries skipped). Each track's spans
+/// are already in start order, so the tracks are merged, not sorted.
+template <class Tracks>
+std::vector<Interval> busy_union(const Graph& g, const Tracks& tracks) {
+  std::vector<Interval> v;
+  for (const std::int32_t t : tracks) {
+    if (t < 0) continue;
+    const auto mid = static_cast<std::ptrdiff_t>(v.size());
+    for (const SpanRef& s : g.spans[static_cast<std::size_t>(t)]) {
+      v.push_back({s.t0, s.t1});
+    }
+    std::inplace_merge(
+        v.begin(), v.begin() + mid, v.end(),
+        [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  }
+  return merge_intervals(v);
+}
+
+/// Index the trace's spans and flows per track, and map lane classes to
+/// tracks.
+void index_events(const Tracer& tracer, Graph& g,
+                  std::vector<std::string>& problems) {
+  const std::size_t n_tracks = tracer.tracks().size();
+  std::vector<std::size_t> n_spans(n_tracks, 0);
+  std::vector<std::size_t> n_ends(n_tracks, 0);
+  std::size_t n_starts = 0;
   for (const Event& e : tracer.events()) {
-    const LaneKind lk = lanes[e.track];
+    if (e.kind == EventKind::kSpan) ++n_spans[e.track];
+    if (e.kind == EventKind::kFlowStart) ++n_starts;
+    if (e.kind == EventKind::kFlowEnd) ++n_ends[e.track];
+  }
+  g.spans.resize(n_tracks);
+  g.flow_ends.resize(n_tracks);
+  for (std::size_t t = 0; t < n_tracks; ++t) {
+    g.spans[t].reserve(n_spans[t]);
+    g.flow_ends[t].reserve(n_ends[t]);
+  }
+  g.flow_starts.reserve(n_starts);
+  for (const Event& e : tracer.events()) {
     switch (e.kind) {
-      case EventKind::kSpan: {
-        const SpanRef s{e.t0, e.t1, e.label, e.track};
-        g.spans_by_track[e.track].push_back(s);
-        switch (lk.cls) {
-          case 'c':
-            cmp_raw[lk.id].push_back(s);
-            break;
-          case 'r':
-            g.rx[lk.id].push_back(s);
-            break;
-          case 't': {
-            g.tx[lk.id].push_back(s);
-            const LabelInfo& li = g.info(e.label);
-            TxBusy tb;
-            tb.lo = e.t0;
-            tb.hi = e.t1;
-            tb.gradient = li.kind == 'g' || li.kind == 'a';
-            if (li.l_suffix) tb.priority = li.num;  // layer; mapped below
-            g.tx_busy[lk.id].push_back(tb);
-            break;
-          }
-          case 's':
-            g.srv[lk.id].push_back(s);
-            break;
-          case 'a':
-            g.folds[lk.id].push_back(s);
-            break;
-          case 'h':
-            hold_raw[lk.id].push_back({e.t0, e.t1});
-            break;
-          case 'S':
-            ssp_raw[lk.id].push_back({e.t0, e.t1});
-            break;
-          case 'u':
-            up_raw.push_back({e.t0, e.t1});
-            break;
-          case 'd':
-            dn_raw.push_back({e.t0, e.t1});
-            break;
-          default:
-            break;
-        }
+      case EventKind::kSpan:
+        g.spans[e.track].push_back({e.t0, e.t1, e.label, e.track});
         break;
-      }
-      case EventKind::kFlowStart: {
-        FlowRec& f = g.flows[e.flow];
-        f.start_track = e.track;
-        f.start_t = e.t0;
-        f.label = e.label;
-        f.has_start = true;
+      case EventKind::kFlowStart:
+        g.flow_starts.push_back({e.flow, e.track, e.label, e.t0});
         break;
-      }
       case EventKind::kFlowEnd:
         g.flow_ends[e.track].push_back({e.t0, e.label, e.flow});
         break;
@@ -308,32 +358,55 @@ Graph build_graph(const Tracer& tracer, std::vector<std::string>& problems) {
         break;
     }
   }
-  for (auto& [node, v] : g.rx) sort_spans(v);
-  for (auto& [node, v] : g.tx) sort_spans(v);
-  for (auto& [node, v] : g.srv) sort_spans(v);
-  for (auto& [node, v] : g.folds) sort_spans(v);
-  for (auto& [track, v] : g.spans_by_track) sort_spans(v);
-  for (auto& [track, v] : g.flow_ends) {
-    std::stable_sort(v.begin(), v.end(),
-                     [](const FlowEndRef& a, const FlowEndRef& b) {
-                       return a.t < b.t;
-                     });
-  }
-  for (auto& [node, v] : g.tx_busy) {
-    std::stable_sort(v.begin(), v.end(), [](const TxBusy& a, const TxBusy& b) {
-      return a.lo < b.lo;
+  for (auto& v : g.spans) {
+    sort_unless_sorted(v, [](const SpanRef& a, const SpanRef& b) {
+      return a.t0 < b.t0;
     });
   }
-  for (auto& [w, v] : hold_raw) g.hold[w] = merge_intervals(std::move(v));
-  for (auto& [w, v] : ssp_raw) g.ssp[w] = merge_intervals(std::move(v));
-  g.up_busy = merge_intervals(std::move(up_raw));
-  g.dn_busy = merge_intervals(std::move(dn_raw));
+  for (auto& v : g.flow_ends) {
+    sort_unless_sorted(v, [](const FlowEndRef& a, const FlowEndRef& b) {
+      return a.t < b.t;
+    });
+  }
+  sort_unless_sorted(g.flow_starts,
+                     [](const FlowStart& a, const FlowStart& b) {
+                       return a.flow < b.flow;
+                     });
 
-  // Annotate compute spans with iteration indices: a lane is F1..FL BL..B1
-  // repeated; the iteration index increments on each F1 and the iteration
-  // completes at its B1.
-  for (auto& [w, raw] : cmp_raw) {
-    sort_spans(raw);
+  g.lanes.resize(n_tracks);
+  for (std::size_t t = 0; t < n_tracks; ++t) {
+    const LaneKind lk = classify_lane(tracer.tracks()[t].name);
+    g.lanes[t] = lk;
+    if (lk.cls == kNoLane) continue;
+    auto& tracks = g.track_of[lk.cls];
+    const auto id = static_cast<std::size_t>(lk.id);
+    if (id >= tracks.size()) tracks.resize(id + 1, -1);
+    if (tracks[id] >= 0) {
+      problems.push_back(
+          "critpath: lanes '" +
+          tracer.track_name(static_cast<std::uint32_t>(tracks[id])) +
+          "' and '" + tracer.tracks()[t].name + "' name the same lane");
+      continue;
+    }
+    tracks[id] = static_cast<std::int32_t>(t);
+  }
+}
+
+/// Annotate compute spans with iteration indices: a lane is F1..FL BL..B1
+/// repeated; the iteration index increments on each F1 and the iteration
+/// completes at its B1.
+void index_compute(const Tracer& tracer, Graph& g,
+                   std::vector<std::string>& problems) {
+  const auto& cmp_tracks = g.track_of[kCmpLane];
+  g.cmp.resize(cmp_tracks.size());
+  g.iter_end.resize(cmp_tracks.size());
+  g.iter0_start.assign(cmp_tracks.size(),
+                       std::numeric_limits<double>::infinity());
+  for (std::size_t w = 0; w < cmp_tracks.size(); ++w) {
+    if (cmp_tracks[w] < 0) continue;
+    const auto& raw = g.spans[static_cast<std::size_t>(cmp_tracks[w])];
+    if (raw.empty()) continue;
+    g.workers.push_back(static_cast<int>(w));
     std::vector<CmpSpan>& spans = g.cmp[w];
     std::vector<double>& ends = g.iter_end[w];
     spans.reserve(raw.size());
@@ -348,9 +421,7 @@ Graph build_graph(const Tracer& tracer, std::vector<std::string>& problems) {
       }
       if (li.kind == 'F' && li.num == 1) {
         ++iter;
-        if (g.iter0_start.find(w) == g.iter0_start.end()) {
-          g.iter0_start[w] = s.t0;
-        }
+        if (iter == 0) g.iter0_start[w] = s.t0;
       }
       CmpSpan cs;
       cs.t0 = s.t0;
@@ -365,43 +436,94 @@ Graph build_graph(const Tracer& tracer, std::vector<std::string>& problems) {
       }
     }
   }
+}
 
-  for (const LifecycleRecord& r : tracer.lifecycle_records()) {
-    Lifecycle& lc = g.groups[group_key(r.worker, r.slice, r.iteration)];
-    const auto st = static_cast<std::size_t>(r.stage);
-    if (lc.n[st] == 0 || r.t < lc.first[st]) lc.first[st] = r.t;
-    if (lc.n[st] == 0 || r.t > lc.last[st]) lc.last[st] = r.t;
-    ++lc.n[st];
-    if (r.stage == Stage::kSend) lc.sends.push_back(r.t);
-    if (r.stage == Stage::kEnqueue) lc.enqueues.push_back(r.t);
+/// Index the lifecycle records: one sorted (key, index) array per lookup the
+/// walk makes, and the first priority seen per slice and per layer.
+void index_lifecycle(const Tracer& tracer, Graph& g) {
+  const auto& records = tracer.lifecycle_records();
+  g.records = &records;
+  std::size_t n_groups = 0;
+  std::size_t n_recv = 0;
+  std::size_t n_ready = 0;
+  std::int32_t max_slice = -1;
+  std::int32_t max_layer = -1;
+  for (const LifecycleRecord& r : records) {
+    n_groups += walk_reads(r.stage) ? 1 : 0;
+    n_recv += r.stage == Stage::kServerRecv ? 1 : 0;
+    n_ready += r.stage == Stage::kParamReady ? 1 : 0;
+    max_slice = std::max(max_slice, r.slice);
+    max_layer = std::max(max_layer, r.layer);
+  }
+  g.groups.reserve(n_groups);
+  g.server_recv.reserve(n_recv);
+  g.param_ready.reserve(n_ready);
+  g.slice_priority.assign(static_cast<std::size_t>(max_slice + 1),
+                          kUnknownPriority);
+  std::vector<int> layer_priority(static_cast<std::size_t>(max_layer + 1),
+                                  kUnknownPriority);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const LifecycleRecord& r = records[i];
+    if (walk_reads(r.stage)) {
+      g.groups.emplace_back(group_key(r.worker, r.slice, r.iteration),
+                            static_cast<std::uint32_t>(i));
+    }
     if (r.stage == Stage::kServerRecv) {
-      g.server_recv[slice_iter_key(r.slice, r.iteration)].emplace_back(
-          r.t, r.worker);
+      g.server_recv.push_back(
+          {slice_iter_key(r.slice, r.iteration), r.t, r.worker});
     }
     if (r.stage == Stage::kParamReady) {
-      g.param_ready[gate_key(r.worker, r.layer, r.iteration)].emplace_back(
-          r.t, r.slice);
+      g.param_ready.push_back(
+          {gate_key(r.worker, r.layer, r.iteration), r.t, r.slice});
     }
-    g.slice_priority.emplace(r.slice, r.priority);
-    g.layer_priority.emplace(r.layer, r.priority);
-  }
-  // Lifecycle records arrive in time order so the per-key vectors are
-  // already ascending; keep a defensive sort for merged/loaded traces.
-  for (auto& [k, v] : g.server_recv) std::stable_sort(v.begin(), v.end());
-  for (auto& [k, v] : g.param_ready) std::stable_sort(v.begin(), v.end());
-
-  // Rewrite tx-busy layer numbers into slice priorities now that the
-  // lifecycle stream supplied the layer -> priority map.
-  for (auto& [node, v] : g.tx_busy) {
-    for (TxBusy& tb : v) {
-      if (tb.priority >= 0) {
-        const auto it = g.layer_priority.find(tb.priority);
-        tb.priority = it == g.layer_priority.end() ? -1 : it->second;
-      }
+    if (r.slice >= 0) {
+      int& p = g.slice_priority[static_cast<std::size_t>(r.slice)];
+      if (p == kUnknownPriority) p = r.priority;
+    }
+    if (r.layer >= 0) {
+      int& p = layer_priority[static_cast<std::size_t>(r.layer)];
+      if (p == kUnknownPriority) p = r.priority;
     }
   }
+  std::sort(g.groups.begin(), g.groups.end());
+  std::sort(g.server_recv.begin(), g.server_recv.end());
+  std::sort(g.param_ready.begin(), g.param_ready.end());
 
-  if (g.cmp.empty()) {
+  // A NIC span's label names its layer; the lifecycle stream supplies the
+  // layer -> priority map.
+  for (LabelInfo& li : g.labels) {
+    if (!li.l_suffix) continue;
+    const auto layer = static_cast<std::size_t>(li.num);
+    if (layer < layer_priority.size() &&
+        layer_priority[layer] != kUnknownPriority) {
+      li.priority = layer_priority[layer];
+    }
+  }
+}
+
+Graph build_graph(const Tracer& tracer, std::vector<std::string>& problems) {
+  Graph g;
+  g.labels.reserve(tracer.labels().size());
+  for (const std::string& text : tracer.labels()) {
+    g.labels.push_back(parse_label(text));
+  }
+  index_events(tracer, g, problems);
+  index_compute(tracer, g, problems);
+  const auto per_lane = [&](LaneClass cls) {
+    std::vector<std::vector<Interval>> out;
+    for (const std::int32_t t : g.track_of[cls]) {
+      out.push_back(busy_union(g, std::array<std::int32_t, 1>{t}));
+    }
+    return out;
+  };
+  g.hold = per_lane(kHoldLane);
+  g.ssp = per_lane(kSspLane);
+  // A switch-port class is busy while any of its racks' ports is.
+  g.up_busy = busy_union(g, g.track_of[kUpLane]);
+  g.dn_busy = busy_union(g, g.track_of[kDnLane]);
+  index_lifecycle(tracer, g);
+
+  if (g.workers.empty()) {
     problems.push_back("critpath: trace has no worker compute spans");
   }
   return g;
@@ -431,12 +553,6 @@ const SpanRef* find_span_ending_at(const std::vector<SpanRef>* spans,
   return nullptr;
 }
 
-const std::vector<SpanRef>* lookup(
-    const std::unordered_map<int, std::vector<SpanRef>>& m, int id) {
-  const auto it = m.find(id);
-  return it == m.end() ? nullptr : &it->second;
-}
-
 struct LinkSource {
   int node = -1;
   const SpanRef* tx = nullptr;
@@ -446,10 +562,9 @@ struct LinkSource {
 
 class Walker {
  public:
-  Walker(const Graph& g, const Tracer& tracer, IterationBlame& out,
-         double window_start, std::int64_t& stalls)
+  Walker(const Graph& g, IterationBlame& out, double window_start,
+         std::int64_t& stalls)
       : g_(g),
-        tracer_(tracer),
         out_(out),
         ws_(window_start),
         cursor_(out.window_end),
@@ -490,12 +605,11 @@ class Walker {
   /// the walk continues on (a gate chain hands off to a contributor), or
   /// -1 when the window is fully attributed or the walk stalled.
   int step_compute(int worker) {
-    const auto it = g_.cmp.find(worker);
-    if (it == g_.cmp.end() || it->second.empty()) {
+    const std::vector<CmpSpan>& spans = by_id(g_.cmp, worker);
+    if (spans.empty()) {
       stall_chain();
       return -1;
     }
-    const std::vector<CmpSpan>& spans = it->second;
     // Last span starting strictly before the cursor.
     auto sit = std::upper_bound(
         spans.begin(), spans.end(), cursor_ - kEps,
@@ -516,13 +630,10 @@ class Walker {
       // DSSP staleness gate: when the gap below a forward span lands inside
       // a blocked window on the worker's ssp lane, the min-clock floor — not
       // a parameter delivery — was the binding constraint.
-      const auto sspit = g_.ssp.find(worker);
-      if (sspit != g_.ssp.end()) {
-        const Cover sc = cover_at(sspit->second, cursor_);
-        if (sc.covered) {
-          take(sc.boundary, Blame::kSspWait);
-          return done() ? -1 : worker;
-        }
+      const Cover sc = cover_at(by_id(g_.ssp, worker), cursor_);
+      if (sc.covered) {
+        take(sc.boundary, Blame::kSspWait);
+        return done() ? -1 : worker;
       }
       const int next = resolve_gate(worker, s.layer, s.iter);
       if (next != kGateUnresolved) return next;
@@ -543,17 +654,13 @@ class Walker {
   /// back to a plain-gap attribution).
   int resolve_gate(int worker, int layer, std::int64_t iter) {
     if (iter <= 0) return kGateUnresolved;
-    const auto it = g_.param_ready.find(gate_key(worker, layer, iter - 1));
-    if (it == g_.param_ready.end()) return kGateUnresolved;
+    const auto [lo, hi] =
+        entries(g_.param_ready, gate_key(worker, layer, iter - 1));
     // Binding slice: latest param-ready at or before the gate release.
-    const auto& prs = it->second;
-    auto pit = std::upper_bound(
-        prs.begin(), prs.end(),
-        std::make_pair(cursor_ + kEps,
-                       std::numeric_limits<std::int64_t>::max()));
-    if (pit == prs.begin()) return kGateUnresolved;
-    const double pr = (pit - 1)->first;
-    const std::int64_t slice = (pit - 1)->second;
+    const Keyed* ready = last_at_or_before(lo, hi, cursor_ + kEps);
+    if (ready == nullptr) return kGateUnresolved;
+    const double pr = ready->t;
+    const std::int64_t slice = ready->value;
     take(pr, Blame::kOther);  // gate release -> span start sliver
     current_worker_ = -1;
     if (!resolve_param_arrival(worker, slice, layer, iter - 1)) return -1;
@@ -566,7 +673,7 @@ class Walker {
   /// and current_worker_ names the contributor.
   bool resolve_param_arrival(int worker, std::int64_t slice, int layer,
                              std::int64_t round) {
-    const SpanRef* rx_span = find_span_ending_at(lookup(g_.rx, worker),
+    const SpanRef* rx_span = find_span_ending_at(g_.lane(kRxLane, worker),
                                                  cursor_, g_, 'p', layer,
                                                  true);
     // Only accept a params rx that ends *at* the cursor: an earlier one
@@ -588,11 +695,11 @@ class Walker {
                             std::int64_t round) {
     for (int hop = 0; hop < 8; ++hop) {
       if (done()) return true;
-      const SpanRef* u = find_span_ending_at(lookup(g_.srv, src), cursor_, g_,
-                                             'U', layer + 1, false);
-      const SpanRef* relay = find_span_ending_at(lookup(g_.rx, src), cursor_,
-                                                 g_, 'P', layer, true);
-      const SpanRef* pull = find_span_ending_at(lookup(g_.rx, src), cursor_,
+      const SpanRef* u = find_span_ending_at(g_.lane(kSrvLane, src), cursor_,
+                                             g_, 'U', layer + 1, false);
+      const SpanRef* relay = find_span_ending_at(g_.lane(kRxLane, src),
+                                                 cursor_, g_, 'P', layer, true);
+      const SpanRef* pull = find_span_ending_at(g_.lane(kRxLane, src), cursor_,
                                                 g_, 'q', layer, true);
       // The binding predecessor is the latest-finishing candidate.
       const SpanRef* best = u;
@@ -623,11 +730,12 @@ class Walker {
       take(best->t1, Blame::kServer);
       const LinkSource plink = follow_link(*best);
       if (plink.node < 0) return stall_chain();
-      const Lifecycle* lc = group(worker, slice, round);
-      if (lc != nullptr && lc->n[static_cast<std::size_t>(Stage::kPull)] > 0) {
-        take(lc->first[static_cast<std::size_t>(Stage::kPull)], Blame::kWire);
+      Lifecycle lc;
+      if (group(worker, slice, round, lc) &&
+          lc.n[static_cast<std::size_t>(Stage::kPull)] > 0) {
+        take(lc.first[static_cast<std::size_t>(Stage::kPull)], Blame::kWire);
       }
-      const SpanRef* notify = find_span_ending_at(lookup(g_.rx, worker),
+      const SpanRef* notify = find_span_ending_at(g_.lane(kRxLane, worker),
                                                   cursor_, g_, 'n', layer,
                                                   true);
       if (notify != nullptr) {
@@ -646,21 +754,18 @@ class Walker {
   bool resolve_contribution(int server, std::int64_t slice, int layer,
                             std::int64_t round) {
     if (done()) return true;
-    const auto it = g_.server_recv.find(slice_iter_key(slice, round));
-    if (it == g_.server_recv.end()) return stall_chain();
-    const auto& recs = it->second;
-    auto rit = std::upper_bound(
-        recs.begin(), recs.end(),
-        std::make_pair(cursor_ + kEps, std::numeric_limits<int>::max()));
-    if (rit == recs.begin()) return stall_chain();
-    const double sr = (rit - 1)->first;
-    const int contributor = (rit - 1)->second;
+    const auto [lo, hi] =
+        entries(g_.server_recv, slice_iter_key(slice, round));
+    const Keyed* recv = last_at_or_before(lo, hi, cursor_ + kEps);
+    if (recv == nullptr) return stall_chain();
+    const double sr = recv->t;
+    const int contributor = static_cast<int>(recv->value);
     take(sr, Blame::kServer);
     // The push's rx completion precedes the rxq pop: direct ("gL") or
     // rack-combined ("aL").
-    const SpanRef* direct = find_span_ending_at(lookup(g_.rx, server),
+    const SpanRef* direct = find_span_ending_at(g_.lane(kRxLane, server),
                                                 cursor_, g_, 'g', layer, true);
-    const SpanRef* combined = find_span_ending_at(lookup(g_.rx, server),
+    const SpanRef* combined = find_span_ending_at(g_.lane(kRxLane, server),
                                                   cursor_, g_, 'a', layer,
                                                   true);
     const SpanRef* rx_span = direct;
@@ -686,24 +791,26 @@ class Walker {
   bool resolve_sender(int sender, std::int64_t slice, int layer,
                       std::int64_t round, bool combined) {
     if (done()) return true;
-    const Lifecycle* lc = group(sender, slice, round);
-    if (lc == nullptr || lc->sends.empty()) return stall_chain();
+    Lifecycle lc;
+    if (!group(sender, slice, round, lc) || lc.sends.empty()) {
+      return stall_chain();
+    }
     // Latest kSend at or before the cursor: the delivered copy.
-    auto sit = std::upper_bound(lc->sends.begin(), lc->sends.end(),
+    auto sit = std::upper_bound(lc.sends.begin(), lc.sends.end(),
                                 cursor_ + kEps);
-    if (sit == lc->sends.begin()) return stall_chain();
+    if (sit == lc.sends.begin()) return stall_chain();
     const double tsend = *(sit - 1);
     take(tsend, Blame::kWire);  // loopback serialization / send-overhead slop
     // Matching enqueue: latest at or before the send.
-    auto eit = std::upper_bound(lc->enqueues.begin(), lc->enqueues.end(),
+    auto eit = std::upper_bound(lc.enqueues.begin(), lc.enqueues.end(),
                                 tsend + kEps);
-    if (eit == lc->enqueues.begin()) return stall_chain();
+    if (eit == lc.enqueues.begin()) return stall_chain();
     const double tenq = *(eit - 1);
     // Earlier kSend attempts after this enqueue are retransmissions of the
     // same copy: the span back to the first attempt is recovery wait.
-    auto first_try = std::lower_bound(lc->sends.begin(), lc->sends.end(),
+    auto first_try = std::lower_bound(lc.sends.begin(), lc.sends.end(),
                                       tenq - kEps);
-    if (first_try != lc->sends.end() && *first_try < tsend - kEps) {
+    if (first_try != lc.sends.end() && *first_try < tsend - kEps) {
       take(*first_try, Blame::kRecovery);
     }
     attribute_queue_wait(sender, tenq, priority_of(slice));
@@ -711,13 +818,13 @@ class Walker {
     if (combined) {
       // Rack pre-reduction: before the combined push entered the
       // aggregator's queue it waited for the closing member contribution.
-      const SpanRef* fold = find_span_ending_at(lookup(g_.folds, sender),
+      const SpanRef* fold = find_span_ending_at(g_.lane(kAggLane, sender),
                                                 cursor_, g_, 'f', layer + 1,
                                                 false);
       if (fold == nullptr) return stall_chain();
       take(fold->t1, Blame::kAggHold);
-      const SpanRef* mrx = find_span_ending_at(lookup(g_.rx, sender), cursor_,
-                                               g_, 'g', layer, true);
+      const SpanRef* mrx = find_span_ending_at(g_.lane(kRxLane, sender),
+                                               cursor_, g_, 'g', layer, true);
       if (mrx != nullptr && mrx->t1 >= fold->t1 - kEps) {
         take(mrx->t1, Blame::kAggHold);
         const LinkSource link = follow_link(*mrx);
@@ -728,8 +835,8 @@ class Walker {
       return resolve_sender(sender, slice, layer, round, false);
     }
     const auto gr = static_cast<std::size_t>(Stage::kGradReady);
-    if (lc->n[gr] == 0) return stall_chain();
-    take(lc->first[gr], Blame::kSendQueue);
+    if (lc.n[gr] == 0) return stall_chain();
+    take(lc.first[gr], Blame::kSendQueue);
     current_worker_ = sender;
     return true;
   }
@@ -741,30 +848,32 @@ class Walker {
     take(rx_span.t0, Blame::kWire);
     const FlowEndRef* fe = find_flow_end(rx_span);
     if (fe == nullptr) return {};
-    const auto fit = g_.flows.find(fe->flow);
-    if (fit == g_.flows.end() || !fit->second.has_start) return {};
-    const FlowRec& f = fit->second;
-    const SpanRef* tx_span = find_span_starting_at(f.start_track, f.start_t,
-                                                   f.label);
+    const FlowStart* f = find_flow_start(fe->flow);
+    if (f == nullptr) return {};
+    const SpanRef* tx_span = find_span_starting_at(f->track, f->t, f->label);
     if (tx_span == nullptr) return {};
     attribute_inflight(tx_span->t1);
     take(tx_span->t0, Blame::kWire);
-    char prefix = 0;
-    int node = -1;
-    std::string suffix;
-    if (!parse_lane(tracer_.track_name(f.start_track), prefix, node, suffix)) {
-      return {};
-    }
+    const int node = g_.lanes[f->track].id;
+    if (node < 0) return {};
     LinkSource out;
     out.node = node;
     out.tx = tx_span;
     return out;
   }
 
+  /// The last recorded start of flow `id`.
+  const FlowStart* find_flow_start(std::int64_t id) const {
+    const auto& starts = g_.flow_starts;
+    const auto it = std::upper_bound(
+        starts.begin(), starts.end(), id,
+        [](std::int64_t x, const FlowStart& f) { return x < f.flow; });
+    if (it == starts.begin() || (it - 1)->flow != id) return nullptr;
+    return &*(it - 1);
+  }
+
   const FlowEndRef* find_flow_end(const SpanRef& rx_span) {
-    const auto eit = g_.flow_ends.find(rx_span.track);
-    if (eit == g_.flow_ends.end()) return nullptr;
-    const auto& ends = eit->second;
+    const auto& ends = g_.flow_ends[rx_span.track];
     auto it = std::lower_bound(
         ends.begin(), ends.end(), rx_span.t0 - kEps,
         [](const FlowEndRef& a, double t) { return a.t < t; });
@@ -776,9 +885,7 @@ class Walker {
 
   const SpanRef* find_span_starting_at(std::uint32_t track, double t,
                                        std::uint32_t label) {
-    const auto it = g_.spans_by_track.find(track);
-    if (it == g_.spans_by_track.end()) return nullptr;
-    const auto& spans = it->second;
+    const auto& spans = g_.spans[track];
     auto sit = std::lower_bound(
         spans.begin(), spans.end(), t - kEps,
         [](const SpanRef& s, double x) { return s.t0 < x; });
@@ -813,42 +920,37 @@ class Walker {
   /// parking (hold-lane overlap), priority inversion (NIC busy with strictly
   /// lower-priority gradients) and plain queue wait.
   void attribute_queue_wait(int node, double from, int priority) {
-    const auto hit = g_.hold.find(node);
-    const std::vector<Interval>* holds =
-        hit == g_.hold.end() ? nullptr : &hit->second;
-    const auto bit = g_.tx_busy.find(node);
-    const std::vector<TxBusy>* busy =
-        bit == g_.tx_busy.end() ? nullptr : &bit->second;
+    const std::vector<Interval>& holds = by_id(g_.hold, node);
+    const std::vector<SpanRef>* busy = g_.lane(kTxLane, node);
     while (cursor_ > std::max(from, ws_) + kEps && steps_ <= kMaxSteps) {
-      if (holds != nullptr) {
-        const Cover h = cover_at(*holds, cursor_);
-        if (h.covered) {
-          take(std::max(from, h.boundary), Blame::kRecovery);
-          continue;
-        }
+      const Cover h = cover_at(holds, cursor_);
+      if (h.covered) {
+        take(std::max(from, h.boundary), Blame::kRecovery);
+        continue;
       }
       // Spans on one NIC lane are sequential, so only the last span starting
       // below the cursor can cover it.
-      const TxBusy* cover = nullptr;
+      const SpanRef* cover = nullptr;
       double boundary = -1e300;
       if (busy != nullptr) {
         auto it = std::lower_bound(busy->begin(), busy->end(), cursor_,
-                                   [](const TxBusy& b, double t) {
-                                     return b.lo < t;
+                                   [](const SpanRef& b, double t) {
+                                     return b.t0 < t;
                                    });
         if (it != busy->begin()) {
           --it;
-          if (it->hi >= cursor_ - kEps && it->lo < cursor_ - kEps) {
+          if (it->t1 >= cursor_ - kEps && it->t0 < cursor_ - kEps) {
             cover = &*it;
           } else {
-            boundary = std::min(it->hi, cursor_);
+            boundary = std::min(it->t1, cursor_);
           }
         }
       }
       if (cover != nullptr) {
-        const bool inverted = cover->gradient && priority >= 0 &&
-                              cover->priority > priority;
-        take(std::max(from, cover->lo),
+        const LabelInfo& li = g_.info(cover->label);
+        const bool inverted =
+            li.gradient && priority >= 0 && li.priority > priority;
+        take(std::max(from, cover->t0),
              inverted ? Blame::kInversion : Blame::kSendQueue);
         continue;
       }
@@ -858,18 +960,38 @@ class Walker {
     take(from, Blame::kSendQueue);
   }
 
-  const Lifecycle* group(int worker, std::int64_t slice, std::int64_t iter) {
-    const auto it = g_.groups.find(group_key(worker, slice, iter));
-    return it == g_.groups.end() ? nullptr : &it->second;
+  /// Gather the (worker, slice, iteration) records the walk reads into `out`;
+  /// false if there are none.
+  bool group(int worker, std::int64_t slice, std::int64_t iter,
+             Lifecycle& out) const {
+    const std::int64_t key = group_key(worker, slice, iter);
+    auto it = std::lower_bound(
+        g_.groups.begin(), g_.groups.end(), key,
+        [](const std::pair<std::int64_t, std::uint32_t>& e, std::int64_t k) {
+          return e.first < k;
+        });
+    if (it == g_.groups.end() || it->first != key) return false;
+    for (; it != g_.groups.end() && it->first == key; ++it) {
+      const LifecycleRecord& r = (*g_.records)[it->second];
+      const auto st = static_cast<std::size_t>(r.stage);
+      if (out.n[st] == 0 || r.t < out.first[st]) out.first[st] = r.t;
+      ++out.n[st];
+      if (r.stage == Stage::kSend) out.sends.push_back(r.t);
+      if (r.stage == Stage::kEnqueue) out.enqueues.push_back(r.t);
+    }
+    return true;
   }
 
   int priority_of(std::int64_t slice) const {
-    const auto it = g_.slice_priority.find(slice);
-    return it == g_.slice_priority.end() ? -1 : it->second;
+    if (slice < 0 ||
+        static_cast<std::size_t>(slice) >= g_.slice_priority.size()) {
+      return -1;
+    }
+    const int p = g_.slice_priority[static_cast<std::size_t>(slice)];
+    return p == kUnknownPriority ? -1 : p;
   }
 
   const Graph& g_;
-  const Tracer& tracer_;
   IterationBlame& out_;
   double ws_;
   double cursor_;
@@ -906,8 +1028,9 @@ BlameReport analyze_critical_path(const Tracer& tracer, int skip_iterations) {
   // Iterations every worker completed.
   std::size_t n_iters = 0;
   bool first = true;
-  for (const auto& [w, ends] : g.iter_end) {
-    n_iters = first ? ends.size() : std::min(n_iters, ends.size());
+  for (const int w : g.workers) {
+    const std::size_t ends = g.iter_end[static_cast<std::size_t>(w)].size();
+    n_iters = first ? ends : std::min(n_iters, ends);
     first = false;
   }
   if (n_iters == 0) {
@@ -921,16 +1044,11 @@ BlameReport analyze_critical_path(const Tracer& tracer, int skip_iterations) {
     return report;
   }
 
-  std::vector<int> workers;
-  workers.reserve(g.iter_end.size());
-  for (const auto& [w, ends] : g.iter_end) workers.push_back(w);
-  std::sort(workers.begin(), workers.end());
-
   const auto global_end = [&](std::size_t i) {
     double e = -1e300;
     int binding = 0;
-    for (int w : workers) {
-      const auto& ends = g.iter_end.at(w);
+    for (const int w : g.workers) {
+      const auto& ends = g.iter_end[static_cast<std::size_t>(w)];
       if (i < ends.size() && ends[i] > e) {
         e = ends[i];
         binding = w;
@@ -942,8 +1060,9 @@ BlameReport analyze_critical_path(const Tracer& tracer, int skip_iterations) {
   double window_start;
   if (skip == 0) {
     window_start = 1e300;
-    for (const auto& [w, t] : g.iter0_start) {
-      window_start = std::min(window_start, t);
+    for (const int w : g.workers) {
+      window_start =
+          std::min(window_start, g.iter0_start[static_cast<std::size_t>(w)]);
     }
     if (window_start >= 1e299) window_start = 0.0;
   } else {
@@ -963,7 +1082,7 @@ BlameReport analyze_critical_path(const Tracer& tracer, int skip_iterations) {
           " ends before the previous one (non-monotone finish line)");
       return report;
     }
-    Walker walker(g, tracer, ib, window_start, report.chain_stalls);
+    Walker walker(g, ib, window_start, report.chain_stalls);
     walker.run();
     report.iterations.push_back(ib);
     window_start = end;

@@ -147,15 +147,27 @@ void Tracer::counter(std::uint32_t track_id, TimeS t, double value) {
 void Tracer::flow_start(const std::string& lane, TimeS t, std::int64_t flow_id,
                         const std::string& label_text) {
   if (!enabled_) return;
-  events_.push_back(Event{EventKind::kFlowStart, track(lane), label(label_text),
-                          t, t, 0.0, flow_id});
+  flow_start(track(lane), t, flow_id, label(label_text));
+}
+
+void Tracer::flow_start(std::uint32_t track_id, TimeS t, std::int64_t flow_id,
+                        std::uint32_t label_id) {
+  if (!enabled_) return;
+  events_.push_back(
+      Event{EventKind::kFlowStart, track_id, label_id, t, t, 0.0, flow_id});
 }
 
 void Tracer::flow_end(const std::string& lane, TimeS t, std::int64_t flow_id,
                       const std::string& label_text) {
   if (!enabled_) return;
-  events_.push_back(Event{EventKind::kFlowEnd, track(lane), label(label_text),
-                          t, t, 0.0, flow_id});
+  flow_end(track(lane), t, flow_id, label(label_text));
+}
+
+void Tracer::flow_end(std::uint32_t track_id, TimeS t, std::int64_t flow_id,
+                      std::uint32_t label_id) {
+  if (!enabled_) return;
+  events_.push_back(
+      Event{EventKind::kFlowEnd, track_id, label_id, t, t, 0.0, flow_id});
 }
 
 void Tracer::lifecycle(Stage stage, int worker, std::int64_t slice, int layer,
@@ -176,6 +188,8 @@ void Tracer::clear() {
   track_ids_.clear();
   labels_.clear();
   label_ids_.clear();
+  for (auto& ids : track_cache_) ids.clear();
+  for (auto& ids : label_cache_) ids.clear();
   lifecycle_.clear();
 }
 

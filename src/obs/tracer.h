@@ -13,12 +13,22 @@
 // Perfetto process, the full name becomes the thread, so every node's
 // channels group together in the UI.
 //
-// Cost model: record calls intern track/label strings once and then append
-// a POD event (no per-event allocation at steady state). A disabled tracer
-// drops events after a single branch; instrumentation sites additionally
-// guard with `enabled()` so no label strings are built either.
+// Cost model: every record appends a POD event; strings live only in the
+// track and label tables. Cold call sites pass strings, which are hashed into
+// those tables on every call. Hot call sites (per message, per compute or
+// server step, per queue-depth change) resolve their ids through the
+// tracer's id cache instead: the site derives an integer key from the
+// name's parts (node and channel, message kind and layer) in a key space of
+// its own, and only a miss builds the string. A miss interns the string at
+// exactly the point the site would have passed it, so track and label ids
+// still follow first use and a trace is the same whichever way a site
+// names its lanes. A disabled tracer drops events after a single branch;
+// instrumentation sites additionally guard with `enabled()` so no keys or
+// strings are built either.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -95,6 +105,20 @@ struct Track {
   std::string process;  ///< prefix before the first '.', e.g. "n3"
 };
 
+/// Key spaces of the tracer's id cache, one per family of names a hot call
+/// site generates. Keys of different spaces never meet, so two families
+/// that happen to derive the same integer still get their own ids.
+enum class KeySpace : std::uint8_t {
+  kNicLane,       ///< net: "n<node>.tx", ".rx", ".drop"
+  kPortLane,      ///< net: "r<rack>.up", ".dn" and their ".q" counters
+  kMessageLabel,  ///< net::message_label, optionally marked 'x' or 'r'
+  kNodeLane,      ///< ps: per-node lanes (".cmp", ".srv", ".sendq", ...)
+  kStepLabel,     ///< ps: compute and server steps ("F3", "U3", ...)
+};
+/// Number of key spaces; kStepLabel must stay the last enumerator.
+inline constexpr std::size_t kKeySpaces =
+    static_cast<std::size_t>(KeySpace::kStepLabel) + 1;
+
 class Tracer {
  public:
   Tracer() = default;
@@ -109,6 +133,22 @@ class Tracer {
   /// Intern a label string.
   std::uint32_t label(const std::string& text);
 
+  /// Id cache for hot call sites: `key` stands for one name of the family
+  /// `space`, which `name()` builds. A hit returns the cached id; a miss
+  /// interns `name()` exactly as track(name()) would, so first use still
+  /// sets the id. clear() empties the cache. A key of kMaxCachedKey or more
+  /// is interned by name on every call.
+  template <class Name>
+  std::uint32_t track(KeySpace space, std::size_t key, Name&& name) {
+    return cached(track_cache_, space, key, [&] { return track(name()); });
+  }
+  /// Label counterpart of the cached track(); its keys never meet tracks'.
+  template <class Name>
+  std::uint32_t label(KeySpace space, std::size_t key, Name&& name) {
+    return cached(label_cache_, space, key, [&] { return label(name()); });
+  }
+  static constexpr std::size_t kMaxCachedKey = std::size_t{1} << 20;
+
   // -- Recording (no-ops while disabled) ------------------------------------
   void span(const std::string& lane, TimeS t0, TimeS t1,
             const std::string& label_text);
@@ -118,14 +158,20 @@ class Tracer {
   void counter(std::uint32_t track_id, TimeS t, double value);
   void flow_start(const std::string& lane, TimeS t, std::int64_t flow_id,
                   const std::string& label_text);
+  void flow_start(std::uint32_t track_id, TimeS t, std::int64_t flow_id,
+                  std::uint32_t label_id);
   void flow_end(const std::string& lane, TimeS t, std::int64_t flow_id,
                 const std::string& label_text);
+  void flow_end(std::uint32_t track_id, TimeS t, std::int64_t flow_id,
+                std::uint32_t label_id);
   void lifecycle(Stage stage, int worker, std::int64_t slice, int layer,
                  std::int64_t iteration, int priority, Bytes bytes, TimeS t);
 
   // -- Introspection --------------------------------------------------------
   const std::vector<Event>& events() const { return events_; }
   const std::vector<Track>& tracks() const { return tracks_; }
+  /// Label strings in id order.
+  const std::vector<std::string>& labels() const { return labels_; }
   const std::string& label_text(std::uint32_t id) const {
     return labels_.at(id);
   }
@@ -170,12 +216,31 @@ class Tracer {
   void write_lifecycle_csv(const std::string& path) const;
 
  private:
+  static constexpr std::uint32_t kUncached = ~std::uint32_t{0};
+  /// Per key space: key -> id, kUncached where the key has not been seen.
+  using IdCache = std::array<std::vector<std::uint32_t>, kKeySpaces>;
+
+  template <class Intern>
+  static std::uint32_t cached(IdCache& cache, KeySpace space, std::size_t key,
+                              Intern&& intern) {
+    std::vector<std::uint32_t>& ids = cache[static_cast<std::size_t>(space)];
+    if (key < ids.size() && ids[key] != kUncached) return ids[key];
+    const std::uint32_t id = intern();
+    if (key < kMaxCachedKey) {
+      if (key >= ids.size()) ids.resize(key + 1, kUncached);
+      ids[key] = id;
+    }
+    return id;
+  }
+
   bool enabled_ = true;
   std::vector<Event> events_;
   std::vector<Track> tracks_;
   std::unordered_map<std::string, std::uint32_t> track_ids_;
   std::vector<std::string> labels_;
   std::unordered_map<std::string, std::uint32_t> label_ids_;
+  IdCache track_cache_;
+  IdCache label_cache_;
   std::vector<LifecycleRecord> lifecycle_;
 };
 

@@ -3,6 +3,8 @@
 #include "obs/critpath.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -13,6 +15,35 @@ namespace {
 
 std::string lane(const char* prefix, int node, const char* suffix) {
   return std::string(prefix) + std::to_string(node) + suffix;
+}
+
+/// Lanes recorded per message, step or queue-depth change; they are named
+/// through the tracer's id cache rather than by string.
+enum class HotLane : std::uint8_t { kSendq, kRxq, kRtx, kCmp, kSrv, kAgg };
+
+std::uint32_t hot_lane(obs::Tracer& tracer, HotLane which, int node) {
+  struct Name {
+    const char* prefix;
+    const char* suffix;
+  };
+  static constexpr Name kNames[] = {{"w", ".sendq"}, {"n", ".rxq"},
+                                    {"n", ".rtx"},   {"w", ".cmp"},
+                                    {"n", ".srv"},   {"n", ".agg"}};
+  const auto i = static_cast<std::size_t>(which);
+  return tracer.track(
+      obs::KeySpace::kNodeLane,
+      static_cast<std::size_t>(node) * std::size(kNames) + i,
+      [&] { return lane(kNames[i].prefix, node, kNames[i].suffix); });
+}
+
+/// Span of one compute or server step ("F3", "U3", ...) on a hot lane.
+void step_span(obs::Tracer& tracer, HotLane which, int node, TimeS t0,
+               TimeS t1, char step, int num) {
+  const std::uint32_t label = tracer.label(
+      obs::KeySpace::kStepLabel,
+      static_cast<std::size_t>(num) * 256 + static_cast<unsigned char>(step),
+      [&] { return step + std::to_string(num); });
+  tracer.span(hot_lane(tracer, which, node), t0, t1, label);
 }
 
 }  // namespace
@@ -475,7 +506,7 @@ void Cluster::sendq_depth_changed(int w, std::int64_t delta) {
   ws.sendq_depth += delta;
   ws.sendq_gauge->set(static_cast<double>(ws.sendq_depth));
   if (tracing()) {
-    tracer_->counter(lane("w", w, ".sendq"), sim_.now(),
+    tracer_->counter(hot_lane(*tracer_, HotLane::kSendq, w), sim_.now(),
                      static_cast<double>(ws.sendq_depth));
   }
 }
@@ -485,8 +516,8 @@ void Cluster::rxq_depth_changed(int server, std::int64_t delta) {
   ss.rxq_depth += delta;
   ss.rxq_gauge->set(static_cast<double>(ss.rxq_depth));
   if (tracing()) {
-    tracer_->counter(lane("n", server_node(server), ".rxq"), sim_.now(),
-                     static_cast<double>(ss.rxq_depth));
+    tracer_->counter(hot_lane(*tracer_, HotLane::kRxq, server_node(server)),
+                     sim_.now(), static_cast<double>(ss.rxq_depth));
   }
 }
 
@@ -584,8 +615,10 @@ void Cluster::on_retx_timeout(std::int64_t msg_id) {
   } else {
     ++retransmits_;
     if (tracing()) {
-      tracer_->span(lane("n", pending.msg.src, ".rtx"), sim_.now(), sim_.now(),
-                    "r" + net::message_label(pending.msg));
+      tracer_->span(hot_lane(*tracer_, HotLane::kRtx, pending.msg.src),
+                    sim_.now(), sim_.now(),
+                    net::message_label_id(*tracer_, pending.msg,
+                                          net::LabelMark::kRetransmit));
     }
     net_->post(pending.msg);
     schedule_retx_timer(msg_id, pending.rto);
@@ -774,8 +807,7 @@ sim::Task Cluster::worker_loop(int w, std::int64_t start_iter) {
       co_await sim_.sleep(profile_.fwd[static_cast<std::size_t>(l)] * jitter);
       if (node_state_[wn].epoch != my_epoch) co_return;
       if (tracing()) {
-        tracer_->span(lane("w", w, ".cmp"), t0, sim_.now(),
-                      "F" + std::to_string(l + 1));
+        step_span(*tracer_, HotLane::kCmp, w, t0, sim_.now(), 'F', l + 1);
       }
     }
     // --- backward propagation (reverse order) ---
@@ -784,8 +816,7 @@ sim::Task Cluster::worker_loop(int w, std::int64_t start_iter) {
       co_await sim_.sleep(profile_.bwd[static_cast<std::size_t>(l)] * jitter);
       if (node_state_[wn].epoch != my_epoch) co_return;
       if (tracing()) {
-        tracer_->span(lane("w", w, ".cmp"), t0, sim_.now(),
-                      "B" + std::to_string(l + 1));
+        step_span(*tracer_, HotLane::kCmp, w, t0, sim_.now(), 'B', l + 1);
       }
       // Wait-free backpropagation: the layer's slices enter the send queue
       // the moment its gradients exist.
@@ -849,8 +880,9 @@ sim::Task Cluster::worker_sender(int w) {
       const net::Message m = it->second.msg;
       ++retransmits_;
       if (tracing()) {
-        tracer_->span(lane("n", m.src, ".rtx"), sim_.now(), sim_.now(),
-                      "r" + net::message_label(m));
+        tracer_->span(
+            hot_lane(*tracer_, HotLane::kRtx, m.src), sim_.now(), sim_.now(),
+            net::message_label_id(*tracer_, m, net::LabelMark::kRetransmit));
       }
       if (cfg_.send_overhead > 0.0) co_await sim_.sleep(cfg_.send_overhead);
       if (tracing()) lc(obs::Stage::kSend, w, m.slice, m.iteration, m.bytes);
@@ -1240,8 +1272,8 @@ void Cluster::on_rack_push(int agg, const net::Message& m) {
       agg_rounds_[static_cast<std::size_t>(agg)][{m.slice, m.iteration}];
   round.contrib[m.worker] += m.logical;
   if (tracing()) {
-    tracer_->span(lane("n", agg, ".agg"), sim_.now(), sim_.now(),
-                  "f" + std::to_string(m.layer + 1));
+    step_span(*tracer_, HotLane::kAgg, agg, sim_.now(), sim_.now(), 'f',
+              m.layer + 1);
   }
   agg_flush(agg, m.slice, m.iteration);
 }
@@ -1837,13 +1869,13 @@ sim::Task Cluster::server_loop(int n) {
           ++ss.version[slice_idx];
           ++rounds_completed_;
           if (tracing()) {
-            tracer_->span(lane("n", server_node(n), ".srv"), t0, sim_.now(),
-                          "U" + std::to_string(sl.layer + 1));
+            step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
+                          'U', sl.layer + 1);
           }
           release_round(n, m.slice, m.iteration);
         } else if (tracing()) {
-          tracer_->span(lane("n", server_node(n), ".srv"), t0, sim_.now(),
-                        "a" + std::to_string(sl.layer + 1));
+          step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
+                        'a', sl.layer + 1);
         }
         continue;
       }
@@ -1873,8 +1905,8 @@ sim::Task Cluster::server_loop(int n) {
       if (dssp_on_ && m.iteration > ss.version[slice_idx]) {
         dssp_buffer_future(n, m);
         if (tracing()) {
-          tracer_->span(lane("n", server_node(n), ".srv"), t0, sim_.now(),
-                        "f" + std::to_string(sl.layer + 1));
+          step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
+                        'f', sl.layer + 1);
         }
         // The pre-sleep bounded fast-forward (or a round that closed during
         // this push's aggregation sleep) may have promoted buffered
@@ -1916,16 +1948,16 @@ sim::Task Cluster::server_loop(int n) {
         if (credited == 0) {
           ++duplicates_suppressed_;
           if (tracing()) {
-            tracer_->span(lane("n", server_node(n), ".srv"), t0, sim_.now(),
-                          "d" + std::to_string(sl.layer + 1));
+            step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
+                          'd', sl.layer + 1);
           }
           continue;
         }
         if (tracing()) {
           lc(obs::Stage::kAggregate, m.worker, m.slice, m.iteration, 0);
           if (!round_complete(n, m.slice)) {
-            tracer_->span(lane("n", server_node(n), ".srv"), t0, sim_.now(),
-                          "a" + std::to_string(sl.layer + 1));
+            step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
+                          'a', sl.layer + 1);
           }
         }
         recheck.push_back(m.slice);
@@ -1952,8 +1984,8 @@ sim::Task Cluster::server_loop(int n) {
         // pushes; promote them before the loop re-checks completion.
         if (dssp_on_) dssp_promote(n, s);
         if (tracing()) {
-          tracer_->span(lane("n", server_node(n), ".srv"), t0, sim_.now(),
-                        "U" + std::to_string(sl.layer + 1));
+          step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
+                        'U', sl.layer + 1);
         }
         if (cfg_.replication > 1) {
           commit_round(n, s, round);

@@ -344,7 +344,9 @@ class Cluster {
   /// Record onto `tracer`: NIC spans and flow arrows (via the network),
   /// worker compute and server update lanes, queue-depth counter tracks,
   /// slice-lifecycle records, and P3_LOG lines as instant events while
-  /// run() executes. Pass nullptr to detach.
+  /// run() executes. A traced run() also runs obs::analyze_critical_path
+  /// over the trace before it returns (RunResult::blame), so its wall time
+  /// includes one analysis. Pass nullptr to detach.
   void attach_tracer(obs::Tracer* tracer);
 
   /// Metrics registry backing every counter below, plus queue-depth gauges

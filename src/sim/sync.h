@@ -1,6 +1,6 @@
-// Coroutine synchronization primitives: Event, Semaphore, Barrier,
-// VersionGate. All wakeups go through Simulator::resume_soon for
-// deterministic, non-reentrant scheduling.
+// Coroutine synchronization primitives: Semaphore, VersionGate. All wakeups
+// go through Simulator::resume_soon for deterministic, non-reentrant
+// scheduling.
 #pragma once
 
 #include <coroutine>
@@ -11,44 +11,6 @@
 #include "sim/simulator.h"
 
 namespace p3::sim {
-
-/// One-shot broadcast event. Waiting after set() completes immediately.
-/// reset() re-arms the event for reuse (any current waiters keep waiting
-/// for the next set()).
-class Event {
- public:
-  explicit Event(Simulator& sim) : sim_(&sim) {}
-  Event(const Event&) = delete;
-  Event& operator=(const Event&) = delete;
-
-  void set() {
-    if (set_) return;
-    set_ = true;
-    for (auto h : waiters_) sim_->resume_soon(h);
-    waiters_.clear();
-  }
-
-  void reset() { set_ = false; }
-  bool is_set() const { return set_; }
-  std::size_t waiters() const { return waiters_.size(); }
-
-  auto wait() {
-    struct Awaiter {
-      Event* ev;
-      bool await_ready() const { return ev->set_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        ev->waiters_.push_back(h);
-      }
-      void await_resume() const {}
-    };
-    return Awaiter{this};
-  }
-
- private:
-  Simulator* sim_;
-  bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
 
 /// Counting semaphore.
 class Semaphore {
@@ -92,47 +54,6 @@ class Semaphore {
  private:
   Simulator* sim_;
   std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/// Reusable barrier for `parties` participants; generation-counted so it can
-/// be reused across iterations (classic phaser).
-class Barrier {
- public:
-  Barrier(Simulator& sim, std::size_t parties)
-      : sim_(&sim), parties_(parties) {
-    if (parties == 0) throw std::invalid_argument("barrier of zero parties");
-  }
-  Barrier(const Barrier&) = delete;
-  Barrier& operator=(const Barrier&) = delete;
-
-  auto arrive_and_wait() {
-    struct Awaiter {
-      Barrier* b;
-      bool await_ready() const { return false; }
-      bool await_suspend(std::coroutine_handle<> h) {
-        if (++b->arrived_ == b->parties_) {
-          b->arrived_ = 0;
-          ++b->generation_;
-          for (auto w : b->waiters_) b->sim_->resume_soon(w);
-          b->waiters_.clear();
-          return false;  // last arriver proceeds immediately
-        }
-        b->waiters_.push_back(h);
-        return true;
-      }
-      void await_resume() const {}
-    };
-    return Awaiter{this};
-  }
-
-  std::uint64_t generation() const { return generation_; }
-
- private:
-  Simulator* sim_;
-  std::size_t parties_;
-  std::size_t arrived_ = 0;
-  std::uint64_t generation_ = 0;
   std::deque<std::coroutine_handle<>> waiters_;
 };
 

@@ -203,6 +203,21 @@ TEST(Critpath, EmptyTraceIsMalformed) {
   EXPECT_FALSE(blame.problems.empty());
 }
 
+TEST(Critpath, TwoTracksNamingOneLaneAreMalformed) {
+  // "n01.rx" and "n1.rx" both parse as node 1's receive lane; the graph
+  // keeps one span vector per lane, so the trace is rejected rather than
+  // one of the two losing its spans.
+  obs::Tracer tracer;
+  tracer.span("w0.cmp", 0.0, 1.0, "F1");
+  tracer.span("w0.cmp", 1.0, 2.0, "B1");
+  tracer.span("n1.rx", 0.0, 0.5, "pL0");
+  tracer.span("n01.rx", 0.5, 1.0, "pL0");
+  const obs::BlameReport blame = obs::analyze_critical_path(tracer, 0);
+  ASSERT_EQ(blame.problems.size(), 1u);
+  EXPECT_NE(blame.problems[0].find("'n1.rx' and 'n01.rx'"), std::string::npos);
+  EXPECT_TRUE(blame.iterations.empty());
+}
+
 TEST(Critpath, RunResultExportsBlameShares) {
   // Surface #2: the same analysis lands in RunResult (and the registry)
   // when a tracer is attached.

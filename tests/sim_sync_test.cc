@@ -7,54 +7,6 @@
 namespace p3::sim {
 namespace {
 
-TEST(Event, WaitAfterSetIsImmediate) {
-  Simulator sim;
-  Event ev(sim);
-  ev.set();
-  bool resumed = false;
-  sim.spawn([](Event& e, bool& flag) -> Task {
-    co_await e.wait();
-    flag = true;
-  }(ev, resumed));
-  sim.run();
-  EXPECT_TRUE(resumed);
-}
-
-TEST(Event, BroadcastsToAllWaiters) {
-  Simulator sim;
-  Event ev(sim);
-  int resumed = 0;
-  for (int i = 0; i < 5; ++i) {
-    sim.spawn([](Event& e, int& count) -> Task {
-      co_await e.wait();
-      ++count;
-    }(ev, resumed));
-  }
-  sim.run();
-  EXPECT_EQ(resumed, 0);
-  ev.set();
-  sim.run();
-  EXPECT_EQ(resumed, 5);
-}
-
-TEST(Event, ResetReArms) {
-  Simulator sim;
-  Event ev(sim);
-  ev.set();
-  ev.reset();
-  EXPECT_FALSE(ev.is_set());
-  bool resumed = false;
-  sim.spawn([](Event& e, bool& flag) -> Task {
-    co_await e.wait();
-    flag = true;
-  }(ev, resumed));
-  sim.run();
-  EXPECT_FALSE(resumed);
-  ev.set();
-  sim.run();
-  EXPECT_TRUE(resumed);
-}
-
 TEST(Semaphore, AcquireAvailable) {
   Simulator sim;
   Semaphore s(sim, 2);
@@ -90,43 +42,6 @@ TEST(Semaphore, MutualExclusion) {
   sim.run();
   EXPECT_EQ(max_inside, 1);
   EXPECT_DOUBLE_EQ(sim.now(), 4.0);
-}
-
-TEST(Barrier, ReleasesWhenAllArrive) {
-  Simulator sim;
-  Barrier b(sim, 3);
-  std::vector<TimeS> release_times;
-  for (int i = 0; i < 3; ++i) {
-    sim.spawn([](Simulator& s, Barrier& bar, std::vector<TimeS>& out,
-                 int id) -> Task {
-      co_await s.sleep(static_cast<double>(id));  // staggered arrival
-      co_await bar.arrive_and_wait();
-      out.push_back(s.now());
-    }(sim, b, release_times, i));
-  }
-  sim.run();
-  ASSERT_EQ(release_times.size(), 3u);
-  for (TimeS t : release_times) EXPECT_DOUBLE_EQ(t, 2.0);
-  EXPECT_EQ(b.generation(), 1u);
-}
-
-TEST(Barrier, ReusableAcrossGenerations) {
-  Simulator sim;
-  Barrier b(sim, 2);
-  std::vector<TimeS> times;
-  for (int i = 0; i < 2; ++i) {
-    sim.spawn([](Simulator& s, Barrier& bar, std::vector<TimeS>& out,
-                 int id) -> Task {
-      for (int round = 0; round < 3; ++round) {
-        co_await s.sleep(id == 0 ? 1.0 : 2.0);
-        co_await bar.arrive_and_wait();
-        if (id == 0) out.push_back(s.now());
-      }
-    }(sim, b, times, i));
-  }
-  sim.run();
-  EXPECT_EQ(times, (std::vector<TimeS>{2.0, 4.0, 6.0}));
-  EXPECT_EQ(b.generation(), 3u);
 }
 
 TEST(VersionGate, ImmediateWhenAlreadyReached) {
