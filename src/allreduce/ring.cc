@@ -204,9 +204,9 @@ sim::Task ArCluster::worker_loop(int w) {
 
 sim::Task ArCluster::rx_pump(int node) {
   for (;;) {
-    const net::Message m = co_await net_->inbox(node).pop();
+    const net::MessageHandle m = co_await net_->inbox(node).pop();
     // Route the arrival to the owning in-flight collective.
-    arrivals_.at(m.slice)->release();
+    arrivals_.at(m->slice)->release();
   }
 }
 

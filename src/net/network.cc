@@ -18,7 +18,7 @@ Network::Network(sim::Simulator& sim, int n_nodes, NetworkConfig config)
   nics_.resize(static_cast<std::size_t>(n_nodes), nic);
   inboxes_.reserve(static_cast<std::size_t>(n_nodes));
   for (int i = 0; i < n_nodes; ++i) {
-    inboxes_.push_back(std::make_unique<sim::Queue<Message>>(sim));
+    inboxes_.push_back(std::make_unique<sim::Queue<MessageHandle>>(sim));
   }
   if (config.topology.active()) {
     topo_ = config.topology;
@@ -44,12 +44,17 @@ Network::Network(sim::Simulator& sim, int n_nodes, NetworkConfig config)
   }
 }
 
-TimeS Network::post(Message m) {
+Network::~Network() {
+  // Queued handles return their slots to free_, so the inboxes go first.
+  inboxes_.clear();
+}
+
+TimeS Network::post(const Message& m) {
   if (m.src < 0 || m.src >= nodes() || m.dst < 0 || m.dst >= nodes()) {
     throw std::out_of_range("message endpoint out of range");
   }
   if (m.bytes <= 0) throw std::invalid_argument("message with no bytes");
-  if (hier_ && m.src != m.dst) return post_hier(std::move(m));
+  if (hier_ && m.src != m.dst) return post_hier(m);
 
   ++posted_;
   bytes_posted_ += m.bytes;
@@ -147,11 +152,11 @@ TimeS Network::post(Message m) {
     }
   }
 
-  schedule_delivery(*stream, deliver_at, acquire(std::move(m)));
+  schedule_delivery(*stream, deliver_at, acquire(m));
   return tx_end;
 }
 
-TimeS Network::post_hier(Message m) {
+TimeS Network::post_hier(const Message& m) {
   ++posted_;
   bytes_posted_ += m.bytes;
   bytes_remote_ += m.bytes;
@@ -187,7 +192,7 @@ TimeS Network::post_hier(Message m) {
     return tx_end;
   }
 
-  Message* slot = acquire(std::move(m));
+  Message* slot = acquire(m);
   if (traced && slot->trace_id >= 0) {
     const std::int64_t flow = next_flow_++;
     tracer_->flow_start(nic_lane(slot->src, kTxLane), tx_start, flow,
@@ -389,14 +394,14 @@ Bytes Network::tor_uplink_bytes() const {
   return total;
 }
 
-Message* Network::acquire(Message&& m) {
+Message* Network::acquire(const Message& m) {
   if (free_.empty()) {
-    pool_.push_back(std::move(m));
+    pool_.push_back(m);
     return &pool_.back();
   }
   Message* slot = free_.back();
   free_.pop_back();
-  *slot = std::move(m);
+  *slot = m;
   return slot;
 }
 
@@ -451,8 +456,9 @@ void Network::deliver(Message* msg) {
     // trace_report --partition gates on this staying zero.
     ++cross_partition_deliveries_;
   }
-  inbox(msg->dst).push(*msg);
-  free_.push_back(msg);
+  // The message stays in its slot; the handle returns it when the
+  // receiver is done.
+  inbox(msg->dst).push(MessageHandle(this, msg));
 }
 
 void Network::set_node_rate(int node, BitsPerSec tx_rate,

@@ -18,6 +18,16 @@
 // event heap only its head, so the heap holds O(nodes) delivery events
 // however many messages are in flight.
 //
+// A posted message is copied once, into a slot of the network's message
+// pool, and stays there until the protocol is done with it: the inbox carries
+// a move-only `MessageHandle` to the slot, receivers read the message in
+// place, and the slot returns to the pool when the last handle to it is
+// destroyed. Lifetime rule: the pool must outlive every handle. `~Network`
+// destroys its inboxes (and the handles queued in them) before the pool; an
+// owner that keeps handles elsewhere — in its own queues or in suspended
+// process frames — must destroy those first (ps::Cluster clears the
+// simulator's process frames in its destructor).
+//
 // Per-node rates support heterogeneous clusters and `tc qdisc`-style
 // throttling mid-experiment (Section 5.3 uses this to sweep bandwidth).
 //
@@ -36,6 +46,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -48,6 +59,43 @@
 #include "sim/simulator.h"
 
 namespace p3::net {
+
+class Network;
+
+/// Move-only reference to a delivered (or parked) message in a Network's
+/// pool. Destroying or resetting a non-empty handle returns the slot to the
+/// pool; the Network must still be alive then.
+class MessageHandle {
+ public:
+  MessageHandle() noexcept = default;
+  MessageHandle(MessageHandle&& other) noexcept
+      : net_(other.net_), msg_(std::exchange(other.msg_, nullptr)) {}
+  MessageHandle& operator=(MessageHandle&& other) noexcept {
+    if (this != &other) {
+      reset();
+      net_ = other.net_;
+      msg_ = std::exchange(other.msg_, nullptr);
+    }
+    return *this;
+  }
+  MessageHandle(const MessageHandle&) = delete;
+  MessageHandle& operator=(const MessageHandle&) = delete;
+  ~MessageHandle() { reset(); }
+
+  const Message& operator*() const { return *msg_; }
+  const Message* operator->() const { return msg_; }
+  explicit operator bool() const noexcept { return msg_ != nullptr; }
+
+  /// Return the slot to the pool now; the handle becomes empty.
+  void reset() noexcept;
+
+ private:
+  friend class Network;
+  MessageHandle(Network* net, Message* msg) noexcept : net_(net), msg_(msg) {}
+
+  Network* net_ = nullptr;
+  Message* msg_ = nullptr;
+};
 
 struct NetworkConfig {
   BitsPerSec rate = gbps(10);            ///< per-NIC TX (egress) rate
@@ -67,6 +115,8 @@ struct NetworkConfig {
 class Network {
  public:
   Network(sim::Simulator& sim, int n_nodes, NetworkConfig config);
+  /// Destroys the inboxes first: their handles return slots to the pool.
+  ~Network();
   /// Scheduled events hold the network's and its streams' addresses.
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -79,18 +129,26 @@ class Network {
   /// (FIFO) and schedules delivery into `inbox(dst)`. Returns the time at
   /// which the sender's TX serialization completes — the moment a blocking
   /// send() call would return.
-  TimeS post(Message m);
+  TimeS post(const Message& m);
 
   /// Awaitable blocking send: posts and suspends until TX completes.
-  auto send(Message m) {
-    const TimeS done = post(std::move(m));
-    return sim_->sleep_until(done);
-  }
+  auto send(const Message& m) { return sim_->sleep_until(post(m)); }
 
-  /// Destination queues; protocol demux loops pop from these.
-  sim::Queue<Message>& inbox(int node) {
+  /// Destination queues of handles to delivered messages; protocol demux
+  /// loops pop from these and read each message in place.
+  sim::Queue<MessageHandle>& inbox(int node) {
     return *inboxes_.at(static_cast<std::size_t>(node));
   }
+
+  /// Copy `m` into a pool slot without sending it, for protocol-internal
+  /// items that travel through the same queues as delivered messages.
+  MessageHandle park(const Message& m) { return {this, acquire(m)}; }
+
+  /// Pool slots ever allocated, and those a message or handle still holds.
+  /// Sustained traffic recycles slots, so the first stays bounded by the
+  /// peak number of messages alive at once.
+  std::size_t pool_slots() const { return pool_.size(); }
+  std::size_t pool_in_use() const { return pool_.size() - free_.size(); }
 
   /// `tc qdisc`-style rate limiting of one node's egress; rx_rate 0 keeps
   /// the node's current ingress rate.
@@ -200,10 +258,14 @@ class Network {
     void operator()() const { net->deliver_head(*stream); }
   };
 
-  /// Park `m` in the in-flight pool (pointers stable, slots recycled after
-  /// delivery — sustained traffic does no per-message allocation).
-  Message* acquire(Message&& m);
+  friend class MessageHandle;
+
+  /// Copy `m` into the pool (pointers stable, slots recycled once the last
+  /// handle lets go — sustained traffic does no per-message allocation).
+  Message* acquire(const Message& m);
+  /// Return a dropped message's slot (and any flow id it held).
   void release(Message* msg);
+  void recycle(Message* msg) { free_.push_back(msg); }
   /// Queue `msg` for delivery at `t` behind the stream's earlier items.
   void schedule_delivery(DeliveryStream& stream, TimeS t, Message* msg);
   void deliver_head(DeliveryStream& stream);
@@ -229,7 +291,7 @@ class Network {
   /// Multi-hop path for remote messages on an active topology. Same fault
   /// model as the flat path: drop/crash evaluated at source TX, pause/down/
   /// severed at the destination RX window.
-  TimeS post_hier(Message m);
+  TimeS post_hier(const Message& m);
   void port_enqueue(int rack, bool up, Message* msg);
   void port_start(int rack, bool up, PortJob job);
   void port_done(int rack, bool up, Message* msg);
@@ -254,8 +316,8 @@ class Network {
   sim::Simulator* sim_;
   NetworkConfig config_;
   std::vector<Nic> nics_;
-  std::vector<std::unique_ptr<sim::Queue<Message>>> inboxes_;
-  std::deque<Message> pool_;     ///< in-flight message slots
+  std::vector<std::unique_ptr<sim::Queue<MessageHandle>>> inboxes_;
+  std::deque<Message> pool_;     ///< in-flight and delivered message slots
   std::vector<Message*> free_;   ///< recycled pool slots
   UtilizationMonitor* monitor_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
@@ -281,6 +343,10 @@ class Network {
   Bytes bytes_remote_ = 0;
   Bytes bytes_dropped_ = 0;
 };
+
+inline void MessageHandle::reset() noexcept {
+  if (msg_ != nullptr) net_->recycle(std::exchange(msg_, nullptr));
+}
 
 /// Human-readable label for timeline spans ("push L3", "param L1", ...).
 std::string message_label(const Message& m);

@@ -481,7 +481,12 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
   }
 }
 
-Cluster::~Cluster() = default;
+Cluster::~Cluster() {
+  // A server_loop frame holds its RxItem's message handle across the
+  // aggregation sleep, and handles return their slots to net_'s pool, so
+  // the process frames die here, before net_ (sim_ itself outlives it).
+  sim_.clear();
+}
 
 void Cluster::attach_tracer(obs::Tracer* tracer) {
   tracer_ = tracer;
@@ -1000,8 +1005,9 @@ sim::Task Cluster::node_demux(int n) {
   const int server_idx = server_of_node(n);
   const auto nn = static_cast<std::size_t>(n);
   for (;;) {
-    net::Message m = co_await net_->inbox(n).pop();
+    net::MessageHandle delivered = co_await net_->inbox(n).pop();
     if (!node_state_[nn].up) continue;  // dead process
+    const net::Message& m = *delivered;
     if (m.kind == net::MsgKind::kAck) {
       // Delivery confirmed: retire the sender-side retransmission state
       // (any outstanding timer becomes a no-op) and any commit barrier or
@@ -1043,10 +1049,10 @@ sim::Task Cluster::node_demux(int n) {
         if (server_idx < 0) throw std::logic_error("PS traffic at worker node");
         auto& ss = *servers_[static_cast<std::size_t>(server_idx)];
         RxItem item;
-        item.msg = m;
         item.priority = m.priority;
         item.seq = ss.rx_seq++;
-        ss.rxq.push(item);
+        item.msg = std::move(delivered);  // `m` stays valid: the slot stays
+        ss.rxq.push(std::move(item));
         rxq_depth_changed(server_idx, +1);
         break;
       }
@@ -1733,10 +1739,10 @@ sim::Task Cluster::server_loop(int n) {
   auto& ss = *servers_[static_cast<std::size_t>(n)];
   const auto node = static_cast<std::size_t>(server_node(n));
   for (;;) {
-    RxItem item = co_await ss.rxq.pop();
+    const RxItem item = co_await ss.rxq.pop();
     rxq_depth_changed(n, -1);
     if (!node_state_[node].up) continue;  // dead process
-    const net::Message& m = item.msg;
+    const net::Message& m = *item.msg;
 
     // Membership plane: a death notice shrank the expected set (or a
     // takeover re-seeded it); sweep every slice this server leads for
@@ -2788,11 +2794,13 @@ void Cluster::update_acting(int server, int group) {
 
 void Cluster::inject_recheck(int server) {
   auto& ss = *servers_[static_cast<std::size_t>(server)];
+  net::Message recheck;
+  recheck.kind = net::MsgKind::kRecheck;
   RxItem item;
-  item.msg.kind = net::MsgKind::kRecheck;
+  item.msg = net_->park(recheck);
   item.priority = -1;  // ahead of all wire traffic
   item.seq = ss.rx_seq++;
-  ss.rxq.push(item);
+  ss.rxq.push(std::move(item));
   rxq_depth_changed(server, +1);
 }
 

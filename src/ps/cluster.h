@@ -474,12 +474,12 @@ class Cluster {
   }
 
  private:
+  /// One queued send; ranked by (priority, seq) in the worker's sendq. The
+  /// narrow fields share the last word, so an item is 64 bytes.
   struct SendItem {
     std::int64_t slice = -1;
-    net::MsgKind kind = net::MsgKind::kPushGradient;
     std::int64_t iteration = -1;
     Bytes payload = 0;  ///< fragment payload bytes (0 for control messages)
-    int priority = 0;
     std::int64_t seq = 0;
     /// >= 0: retransmission of this pending msg id (competes in the priority
     /// queue at the original slice priority, so preemption holds under loss).
@@ -487,36 +487,28 @@ class Cluster {
     /// >= 0: this is an aggregator's combined push carrying that cover id;
     /// it is sent straight to the shard leader, never re-aggregated.
     std::int64_t agg_id = -1;
+    /// Sim time this item entered a parking lot (partition park or shed);
+    /// 0 = never parked. Feeds the traced "w{w}.hold" recovery spans.
+    TimeS parked_at = 0.0;
+    int priority = 0;
+    net::MsgKind kind = net::MsgKind::kPushGradient;
     /// Recovery re-pushes bypass the rack aggregator: the re-push exists
     /// because state died somewhere, and waiting for rack peers that will
     /// never re-push the same round would wedge the fold.
     bool direct = false;
-    /// Sim time this item entered a parking lot (partition park or shed);
-    /// 0 = never parked. Feeds the traced "w{w}.hold" recovery spans.
-    TimeS parked_at = 0.0;
   };
-  struct SendOrder {
-    bool operator()(const SendItem& a, const SendItem& b) const {
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
-  };
+  /// A server's received push or pull (or an internal kRecheck), read in
+  /// place from the network's message pool.
   struct RxItem {
-    net::Message msg;
+    net::MessageHandle msg;
     int priority = 0;
     std::int64_t seq = 0;
-  };
-  struct RxOrder {
-    bool operator()(const RxItem& a, const RxItem& b) const {
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
   };
 
   struct WorkerState {
     explicit WorkerState(sim::Simulator& sim) : sendq(sim) {}
     std::vector<std::unique_ptr<sim::VersionGate>> gates;  // per layer
-    sim::PriorityQueue<SendItem, SendOrder> sendq;
+    sim::PriorityQueue<SendItem> sendq;
     std::int64_t send_seq = 0;
     std::int64_t sendq_depth = 0;        ///< fragments queued right now
     obs::Gauge* sendq_gauge = nullptr;   ///< registry view of sendq_depth
@@ -574,7 +566,7 @@ class Cluster {
 
   struct ServerState {
     explicit ServerState(sim::Simulator& sim) : rxq(sim) {}
-    sim::PriorityQueue<RxItem, RxOrder> rxq;
+    sim::PriorityQueue<RxItem> rxq;
     std::int64_t rx_seq = 0;
     std::int64_t rxq_depth = 0;          ///< items queued right now
     obs::Gauge* rxq_gauge = nullptr;     ///< registry view of rxq_depth

@@ -85,6 +85,15 @@ class EventFn {
 
   void operator()() { ops_->invoke(buf_); }
 
+  /// If this is a coroutine-resume event, empty it and return its handle;
+  /// otherwise leave it alone and return a null handle. Lets the dispatch
+  /// loop resume a process without moving the callback out of its slot.
+  std::coroutine_handle<> take_resume() noexcept {
+    if (ops_ != &kResumeOps) return {};
+    ops_ = nullptr;
+    return *std::launder(reinterpret_cast<std::coroutine_handle<>*>(buf_));
+  }
+
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
  private:

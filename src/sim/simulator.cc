@@ -7,20 +7,32 @@
 
 namespace p3::sim {
 
-// The event queue is a 4-ary min-heap over trivially copyable entries:
-// half the depth of a binary heap, sift moves that compile to plain
-// stores, and the four children of a node share a cache line.
+// The event queue is a 4-ary min-heap over 128-bit keys: half the depth of
+// a binary heap, sift moves that compile to plain stores, and the four
+// children of a node share a cache line.
 
-Simulator::~Simulator() {
+Simulator::~Simulator() { clear(); }
+
+void Simulator::clear() {
   // Destroy any processes still suspended (e.g. servers blocked on their
   // inbox when the experiment ended). Frames of finished tasks included.
   for (auto h : tasks_) {
     if (h) h.destroy();
   }
+  tasks_.clear();
+  heap_.clear();
+  batch_.clear();
+  cursor_ = 0;
+  dispatching_ = false;
+  slots_.clear();
+  free_slots_.clear();
 }
 
 std::uint32_t Simulator::acquire_slot() {
   if (free_slots_.empty()) {
+    if (slots_.size() >= kMaxSlots) {
+      throw std::overflow_error("too many pending events");
+    }
     slots_.emplace_back();
     return static_cast<std::uint32_t>(slots_.size() - 1);
   }
@@ -29,73 +41,78 @@ std::uint32_t Simulator::acquire_slot() {
   return slot;
 }
 
-void Simulator::enqueue(TimeS t, std::uint32_t slot) {
-  const Entry e{t, next_seq_++, slot};
-  if (dispatching_ && t == now_) {
+void Simulator::enqueue(Key k) {
+  if (dispatching_ && time_of(k) == now_) {
     // Same-time event scheduled from inside the open batch: its seq exceeds
     // every event already in the batch and the heap holds nothing at this
     // time, so appending preserves FIFO tie order and skips the heap.
-    batch_.push_back(e);
+    batch_.push_back(k);
     return;
   }
-  heap_push(e);
+  heap_push(k);
 }
 
-void Simulator::enqueue_reserved(const Entry& e) {
-  const bool in_batch = dispatching_ && e.time == now_;
-  if (e.time < now_ || (in_batch && e.seq < batch_[cursor_].seq)) {
-    slots_[e.slot] = EventFn();
-    free_slots_.push_back(e.slot);
+void Simulator::enqueue_reserved(Key k) {
+  const TimeS t = time_of(k);
+  const bool in_batch = dispatching_ && t == now_;
+  if (t < now_ || (in_batch && seq_of(k) < seq_of(batch_[cursor_]))) {
+    slots_[slot_of(k)] = EventFn();
+    free_slots_.push_back(slot_of(k));
     throw std::logic_error("reserved event slot has already been passed");
   }
   if (!in_batch) {
-    heap_push(e);
+    heap_push(k);
     return;
   }
   // The open batch runs in seq order and holds every event at this time, so
   // the event goes to its seq position among the members not yet run; the
-  // zero-delay appends behind them carry larger seqs.
+  // zero-delay appends behind them carry larger seqs. Same time, so key
+  // order is seq order.
   const auto rest = batch_.begin() + static_cast<std::ptrdiff_t>(cursor_ + 1);
-  batch_.insert(std::upper_bound(rest, batch_.end(), e,
-                                 [](const Entry& a, const Entry& b) {
-                                   return a.seq < b.seq;
-                                 }),
-                e);
+  batch_.insert(std::upper_bound(rest, batch_.end(), k), k);
 }
 
-void Simulator::heap_push(const Entry& e) {
+void Simulator::heap_push(Key k) {
   std::size_t i = heap_.size();
-  heap_.push_back(e);
+  heap_.push_back(k);
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!before(e, heap_[parent])) break;
+    if (!(k < heap_[parent])) break;
     heap_[i] = heap_[parent];
     i = parent;
   }
-  heap_[i] = e;
+  heap_[i] = k;
 }
 
-Simulator::Entry Simulator::heap_pop() {
-  const Entry top = heap_.front();
-  const Entry last = heap_.back();
+Simulator::Key Simulator::heap_pop() {
+  const Key top = heap_.front();
+  const Key last = heap_.back();
   heap_.pop_back();
   const std::size_t n = heap_.size();
-  if (n > 0) {
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
+  if (n == 0) return top;
+  const Key* h = heap_.data();
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = 4 * i + 1;
+    std::size_t best;
+    if (first + 4 <= n) {
+      // Full node: pick the least of four children with selects, not
+      // branches (which child wins is unpredictable).
+      const std::size_t a = h[first + 1] < h[first] ? first + 1 : first;
+      const std::size_t b = h[first + 3] < h[first + 2] ? first + 3 : first + 2;
+      best = h[b] < h[a] ? b : a;
+    } else {
       if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t end = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
+      best = first;
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (h[c] < h[best]) best = c;
       }
-      if (!before(heap_[best], last)) break;
-      heap_[i] = heap_[best];
-      i = best;
     }
-    heap_[i] = last;
+    if (!(h[best] < last)) break;
+    heap_[i] = h[best];
+    i = best;
   }
+  heap_[i] = last;
   return top;
 }
 
@@ -106,21 +123,28 @@ void Simulator::spawn(Task task) {
   if (tasks_.size() % 64 == 0) reap_tasks();
 }
 
-void Simulator::run_entry(const Entry& e) {
+void Simulator::run_entry(Key k) {
   ++executed_;
-  // Move the callback out before invoking: the callback may schedule new
-  // events and reallocate the slab.
-  EventFn fn = std::move(slots_[e.slot]);
-  free_slots_.push_back(e.slot);
+  const std::uint32_t slot = slot_of(k);
+  // A resume event leaves its slot as the bare handle; resuming may
+  // schedule new events and reallocate the slab, so free the slot first.
+  if (const std::coroutine_handle<> h = slots_[slot].take_resume()) {
+    free_slots_.push_back(slot);
+    h.resume();
+    return;
+  }
+  // Any other callback moves out before it runs, for the same reason.
+  EventFn fn = std::move(slots_[slot]);
+  free_slots_.push_back(slot);
   fn();
 }
 
 bool Simulator::dispatch(TimeS limit, const std::function<bool()>* done) {
   if (done != nullptr && (*done)()) return true;
-  while (!heap_.empty() && heap_.front().time <= limit) {
-    const TimeS t = heap_.front().time;
+  while (!heap_.empty() && time_of(heap_.front()) <= limit) {
+    const TimeS t = time_of(heap_.front());
     batch_.clear();
-    while (!heap_.empty() && heap_.front().time == t) {
+    while (!heap_.empty() && time_of(heap_.front()) == t) {
       batch_.push_back(heap_pop());
     }
     now_ = t;

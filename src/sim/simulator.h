@@ -9,11 +9,17 @@
 // perfbench/, see perfbench/NOTES.md):
 //   * callbacks are `EventFn` — small-buffer-optimized with a dedicated
 //     coroutine-handle representation, so steady-state scheduling does no
-//     heap allocation (see event.h);
-//   * the priority queue holds 24-byte POD entries (time, seq, slot); the
-//     callback itself sits in a recycled slab and never moves during heap
-//     sifts, so each event costs exactly two EventFn moves (in and out)
-//     however deep the queue gets;
+//     heap allocation (see event.h). They sit in a recycled slab and never
+//     move during heap sifts. A resume event (the dominant kind) runs by
+//     taking its coroutine handle out of the slot; any other callback is
+//     moved out once and invoked;
+//   * the priority queue is a 4-ary min-heap of 16-byte keys. A key is one
+//     128-bit integer: the event time's bit pattern (times are never
+//     negative, so their bit patterns order like the times) over a word
+//     that packs the sequence number above a 24-bit slab slot. Comparing
+//     two keys compares (time, seq), and a node picks the least of its four
+//     children without branches. A sequence number past 2^40 or a slot
+//     past 2^24 throws std::overflow_error instead of wrapping;
 //   * `run`, `run_until` and `run_while` share one dispatch loop that pops
 //     same-time events as one batch. Zero-delay events scheduled *during*
 //     the batch (queue wakeups, resume_soon — the dominant pattern) append
@@ -30,8 +36,13 @@
 //     exactly where a plain `schedule_at` would have put it. The network's
 //     per-NIC delivery streams (net/network.h) keep the heap at O(nodes)
 //     entries instead of one per message in flight.
+//
+// Event times must be numbers: a NaN delay or time throws
+// std::invalid_argument, since it would otherwise sort after +infinity.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -55,20 +66,27 @@ class Simulator {
   /// Current simulated time in seconds.
   TimeS now() const { return now_; }
 
-  /// Schedule `fn` to run `dt` seconds from now (dt >= 0). The callable is
-  /// constructed directly into its slab slot — no temporary EventFn.
+  /// Schedule `fn` to run `dt` seconds from now (dt >= 0; a negative or NaN
+  /// delay throws std::invalid_argument). The callable is constructed
+  /// directly into its slab slot — no temporary EventFn.
   template <typename F>
   void schedule(TimeS dt, F&& fn) {
-    if (dt < 0.0) throw std::invalid_argument("negative event delay");
+    if (!(dt >= 0.0)) {
+      throw std::invalid_argument(std::isnan(dt) ? "NaN event delay"
+                                                 : "negative event delay");
+    }
+    const std::uint64_t seq = take_seq();
     const std::uint32_t slot = acquire_slot();
     slots_[slot] = std::forward<F>(fn);
-    enqueue(now_ + dt, slot);
+    enqueue(make_key(now_ + dt, seq, slot));
   }
 
   /// Schedule `fn` at absolute time `t`; a past `t` clamps to now() (the
   /// event runs after already-queued same-time events, in FIFO tie order).
+  /// A NaN `t` throws std::invalid_argument.
   template <typename F>
   void schedule_at(TimeS t, F&& fn) {
+    if (std::isnan(t)) throw std::invalid_argument("NaN event time");
     schedule(t > now_ ? t - now_ : 0.0, std::forward<F>(fn));
   }
 
@@ -79,9 +97,11 @@ class Simulator {
     std::uint64_t seq;
   };
 
-  /// Claim the slot that `schedule_at(t, ...)` would give an event now.
+  /// Claim the slot that `schedule_at(t, ...)` would give an event now. A NaN
+  /// `t` throws std::invalid_argument.
   Reservation reserve_at(TimeS t) {
-    return {now_ + (t > now_ ? t - now_ : 0.0), next_seq_++};
+    if (std::isnan(t)) throw std::invalid_argument("NaN event time");
+    return {now_ + (t > now_ ? t - now_ : 0.0), take_seq()};
   }
 
   /// Schedule `fn` into a slot claimed earlier with reserve_at(): it runs
@@ -92,7 +112,7 @@ class Simulator {
   void schedule_reserved(Reservation r, F&& fn) {
     const std::uint32_t slot = acquire_slot();
     slots_[slot] = std::forward<F>(fn);
-    enqueue_reserved(Entry{r.time, r.seq, slot});
+    enqueue_reserved(make_key(r.time, r.seq, slot));
   }
 
   /// Fast path: resume coroutine `h` after `dt` seconds.
@@ -102,6 +122,13 @@ class Simulator {
 
   /// Adopt and start a coroutine process.
   void spawn(Task task);
+
+  /// Destroy every process frame, suspended or finished, and drop every
+  /// pending event, leaving an empty simulator at the current time. Owners
+  /// whose process frames hold resources of objects that die before the
+  /// simulator call this first (net::Network's message handles, see
+  /// ps::Cluster's destructor). Not to be called from inside an event.
+  void clear();
 
   /// Run until the event queue drains.
   void run();
@@ -147,28 +174,46 @@ class Simulator {
   void resume_soon(std::coroutine_handle<> h) { schedule_resume(0.0, h); }
 
  private:
-  /// Heap entry: trivially copyable so sift moves compile to plain stores.
-  /// `slot` indexes the callback slab.
-  struct Entry {
-    TimeS time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-  /// Strict total order on events: (time, seq) — seq values are unique.
-  static bool before(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+  /// Heap entry: the event time's bit pattern in the high 64 bits, then the
+  /// sequence number, then the slab slot of its callback. Unsigned order on
+  /// keys is (time, seq) order, since times are never negative and seq
+  /// values are unique.
+  __extension__ using Key = unsigned __int128;
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1}
+                                           << (64 - kSlotBits);
+
+  static Key make_key(TimeS t, std::uint64_t seq, std::uint32_t slot) {
+    return Key{std::bit_cast<std::uint64_t>(t)} << 64 |
+           Key{seq << kSlotBits | slot};
+  }
+  static TimeS time_of(Key k) {
+    return std::bit_cast<TimeS>(static_cast<std::uint64_t>(k >> 64));
+  }
+  static std::uint64_t seq_of(Key k) {
+    return static_cast<std::uint64_t>(k) >> kSlotBits;
+  }
+  static std::uint32_t slot_of(Key k) {
+    return static_cast<std::uint32_t>(static_cast<std::uint64_t>(k) &
+                                      (kMaxSlots - 1));
   }
 
+  std::uint64_t take_seq() {
+    if (next_seq_ >= kMaxSeq) {
+      throw std::overflow_error("event sequence numbers exhausted");
+    }
+    return next_seq_++;
+  }
   std::uint32_t acquire_slot();
   /// Heap-or-batch insert of a parked callback (non-template backend of
   /// schedule()).
-  void enqueue(TimeS t, std::uint32_t slot);
-  /// Same for an entry carrying a reserved sequence number.
-  void enqueue_reserved(const Entry& e);
-  void heap_push(const Entry& e);
-  Entry heap_pop();
-  void run_entry(const Entry& e);
+  void enqueue(Key k);
+  /// Same for a key carrying a reserved sequence number.
+  void enqueue_reserved(Key k);
+  void heap_push(Key k);
+  Key heap_pop();
+  void run_entry(Key k);
   /// The dispatch loop behind run, run_until and run_while: runs same-time
   /// batches in (time, seq) order while the earliest event is at or before
   /// `limit`, checking `done` (if given) before the first event and after
@@ -181,10 +226,10 @@ class Simulator {
   TimeS now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::vector<Entry> heap_;
+  std::vector<Key> heap_;
   std::vector<EventFn> slots_;            ///< parked callbacks
   std::vector<std::uint32_t> free_slots_; ///< recycled slab indices
-  std::vector<Entry> batch_;  ///< reused dispatch buffer, sorted by seq
+  std::vector<Key> batch_;    ///< reused dispatch buffer, sorted by seq
   std::size_t cursor_ = 0;    ///< index of the running batch member
   bool dispatching_ = false;  ///< a batch at time now_ is being run
   std::vector<Task::Handle> tasks_;

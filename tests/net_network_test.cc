@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/sync.h"
@@ -171,7 +174,7 @@ struct Arrival {
 sim::Task collect(Network& net, int node, int count,
                   std::vector<Arrival>& out) {
   for (int i = 0; i < count; ++i) {
-    const Message m = co_await net.inbox(node).pop();
+    const Message m = *co_await net.inbox(node).pop();
     out.push_back({net.simulator().now(), m.src});
   }
 }
@@ -359,6 +362,108 @@ TEST(MessageLabel, CoversAllKinds) {
   EXPECT_EQ(message_label(m), "qL1");
   m.kind = MsgKind::kParams;
   EXPECT_EQ(message_label(m), "pL1");
+}
+
+// --- message handles: the pool outlives every handle --------------------
+
+TEST(MessageHandles, ReadDeliveredMessagesInPlace) {
+  sim::Simulator sim;
+  Network net(sim, 2, test_config(gbps(1), 0.0));
+  Message m = msg(0, 1, 1000);
+  m.slice = 7;
+  m.iteration = 3;
+  net.post(m);
+  sim.run();
+  auto h = net.inbox(1).try_pop();
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ((*h)->slice, 7);
+  EXPECT_EQ((**h).iteration, 3);
+  EXPECT_EQ(net.pool_in_use(), 1u);  // the slot stays until the handle dies
+  MessageHandle moved = std::move(*h);
+  EXPECT_FALSE(*h);
+  EXPECT_EQ(net.pool_in_use(), 1u);
+  moved.reset();
+  EXPECT_FALSE(moved);
+  EXPECT_EQ(net.pool_in_use(), 0u);
+}
+
+TEST(MessageHandles, ParkedMessagesHoldASlotWithoutTouchingTheWire) {
+  sim::Simulator sim;
+  Network net(sim, 2, test_config());
+  Message m;
+  m.kind = MsgKind::kRecheck;
+  {
+    const MessageHandle h = net.park(m);
+    EXPECT_EQ(h->kind, MsgKind::kRecheck);
+    EXPECT_EQ(net.pool_in_use(), 1u);
+  }
+  EXPECT_EQ(net.pool_in_use(), 0u);
+  EXPECT_EQ(net.messages_posted(), 0);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(MessageHandles, NetworkDiesWithMessagesInFlightAndInInboxes) {
+  // Some messages are delivered into inboxes (one of them already reserved
+  // for a woken consumer), others are still on the wire; a second consumer
+  // is suspended on an empty inbox. Destroying the network first and the
+  // simulator after must release every slot without touching freed memory
+  // (the sanitizer build checks this).
+  sim::Simulator sim;
+  auto net = std::make_unique<Network>(sim, 3, test_config(gbps(1), 0.0));
+  int received = 0;
+  sim.spawn([](Network& n, int& count) -> sim::Task {
+    for (;;) {
+      (void)co_await n.inbox(1).pop();  // the handle dies before the sleep
+      ++count;
+      co_await n.simulator().sleep(10.0);
+    }
+  }(*net, received));
+  sim.spawn([](Network& n) -> sim::Task {
+    (void)co_await n.inbox(2).pop();
+  }(*net));
+  for (int i = 0; i < 6; ++i) net->post(msg(0, 1, 125'000));  // 1 ms each
+  net->post(msg(1, 1, 100));                                   // loopback
+  sim.run_until(0.0045);
+  EXPECT_GT(net->inbox(1).size(), 0u);
+  EXPECT_LT(net->messages_delivered(), net->messages_posted());
+  EXPECT_EQ(received, 1);
+  net.reset();
+}
+
+TEST(MessageHandles, PoolStaysBoundedOverManyRoundTrips) {
+  // Ping-pong between two nodes: each side reads the message in place and
+  // answers while still holding it. Slots recycle, so the pool never grows
+  // past the few messages alive at once.
+  sim::Simulator sim;
+  Network net(sim, 2, test_config(gbps(10), us(5)));
+  constexpr int kRoundTrips = 10'000;
+  std::size_t peak_in_use = 0;
+  auto player = [](Network& n, int self, int rounds,
+                   std::size_t& peak) -> sim::Task {
+    for (int i = 0; i < rounds; ++i) {
+      const MessageHandle h = co_await n.inbox(self).pop();
+      peak = std::max(peak, n.pool_in_use());
+      Message reply = *h;
+      reply.src = self;
+      reply.dst = 1 - self;
+      reply.iteration = h->iteration + 1;
+      co_await n.send(reply);
+    }
+  };
+  sim.spawn(player(net, 0, kRoundTrips, peak_in_use));
+  sim.spawn(player(net, 1, kRoundTrips, peak_in_use));
+  Message serve = msg(0, 1, 1500);
+  serve.iteration = 0;
+  net.post(serve);
+  sim.run();
+  EXPECT_EQ(net.messages_delivered(), 2 * kRoundTrips + 1);
+  EXPECT_LE(net.pool_slots(), 3u);
+  EXPECT_LE(peak_in_use, 2u);
+  auto last = net.inbox(1).try_pop();  // the final reply nobody answered
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ((*last)->iteration, 2 * kRoundTrips);
+  last.reset();
+  EXPECT_EQ(net.pool_in_use(), 0u);
 }
 
 }  // namespace

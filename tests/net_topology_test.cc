@@ -209,7 +209,7 @@ TEST(HierRouting, TwoRackIncastDeliversInRxOrder) {
   h.sim.spawn([](Network& n, std::vector<std::pair<TimeS, int>>& out)
                   -> sim::Task {
     for (int i = 0; i < 4; ++i) {
-      const Message m = co_await n.inbox(0).pop();
+      const Message m = *co_await n.inbox(0).pop();
       out.emplace_back(n.simulator().now(), m.src);
     }
   }(h.net, arrivals));

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <tuple>
 
 #include "model/zoo.h"
@@ -269,6 +271,46 @@ TEST(ClusterTimeline, RecordsComputeAndServerLanes) {
   EXPECT_FALSE(tl.lane_spans("w0.cmp").empty());
   EXPECT_FALSE(tl.lane_spans("n0.srv").empty());
   EXPECT_FALSE(tl.lane_spans("n0.tx").empty());
+}
+
+// A server_loop holds its received push's message handle across the
+// aggregation sleep, and handles return slots to the network's pool. A
+// cluster destroyed mid-round, with pushes still queued and a server asleep
+// in aggregation, must tear its processes down before its network (the
+// sanitizer build checks the teardown touches no freed memory).
+TEST(ClusterTeardown, MidRoundWithHandlesInQueuesAndFrames) {
+  auto cfg = small_config(SyncMethod::kP3, 4, 10.0);
+  cfg.update_bytes_per_sec = 2e8;  // long aggregation sleeps
+  auto cluster = std::make_unique<Cluster>(small_workload(6), cfg);
+  cluster->run(1, 1);  // returns with the last round still in flight
+  net::Network& net = cluster->network();
+  const auto rxq_items = [&] {
+    std::int64_t items = 0;
+    for (int n = 0; n < net.nodes(); ++n) {
+      items += static_cast<std::int64_t>(
+          cluster->metrics()
+              .find_gauge("n" + std::to_string(n) + ".rxq_depth")
+              ->value());
+    }
+    return items;
+  };
+  // Pool slots neither in flight nor queued are held by process frames.
+  const auto held_by_frames = [&] {
+    std::int64_t held = static_cast<std::int64_t>(net.pool_in_use()) -
+                        rxq_items() -
+                        (net.messages_posted() - net.messages_delivered() -
+                         net.messages_dropped());
+    for (int n = 0; n < net.nodes(); ++n) {
+      held -= static_cast<std::int64_t>(net.inbox(n).size());
+    }
+    return held;
+  };
+  // Step (no drain) until a server sleeps in aggregation holding a handle
+  // while more pushes wait in a receive queue.
+  ASSERT_TRUE(cluster->simulator().run_while(
+      [&] { return held_by_frames() > 0 && rxq_items() > 0; }));
+  EXPECT_FALSE(cluster->simulator().idle());
+  cluster.reset();
 }
 
 }  // namespace

@@ -1,0 +1,231 @@
+// Pins what the simulator does, not only what it computes: the events it
+// executes, the messages it posts, delivers and drops, and the simulated
+// outputs of one small point per workload shape the benchmark runs (a flat
+// ResNet-50 fabric under Baseline and P3, sliced VGG-19 on four workers, and
+// two racks behind an oversubscribed ToR with rack aggregation, replicas,
+// wire loss and a healing cut). A speed-up of the event core, the network or
+// the protocol must keep every value here exact; a change that adds or drops
+// events fails CI even when the outputs happen to survive it.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
+#include "model/compute.h"
+#include "ps/cluster.h"
+
+namespace p3::ps {
+namespace {
+
+using core::SyncMethod;
+
+struct Cost {
+  std::uint64_t run_events = 0;    ///< events executed by run()
+  std::uint64_t total_events = 0;  ///< after drain()
+  std::int64_t posted = 0;
+  std::int64_t delivered = 0;
+  std::int64_t dropped = 0;
+  std::int64_t partition_drops = 0;
+  double throughput = 0;
+  double mean_iteration_time = 0;
+  double total_time = 0;
+  double mean_stall_time = 0;
+  Bytes goodput_bytes = 0;
+  Bytes wire_bytes = 0;
+};
+
+struct Case {
+  model::Workload (*build)() = nullptr;
+  ClusterConfig cfg;
+  int warmup = 1;
+  int measured = 2;
+};
+
+ClusterConfig seeded() {
+  ClusterConfig cfg;
+  cfg.seed = 42;
+  cfg.faults.seed = 42;
+  return cfg;
+}
+
+Case flat_resnet(SyncMethod method) {
+  Case c;
+  c.build = model::workload_resnet50;
+  c.cfg = seeded();
+  c.cfg.n_workers = 8;
+  c.cfg.method = method;
+  c.cfg.bandwidth = gbps(10);
+  return c;
+}
+
+Case sliced_vgg() {
+  Case c;
+  c.build = model::workload_vgg19;
+  c.cfg = seeded();
+  c.cfg.n_workers = 4;
+  c.cfg.method = SyncMethod::kP3;
+  c.cfg.bandwidth = gbps(4);
+  c.cfg.rx_bandwidth = gbps(100);
+  return c;
+}
+
+/// Two racks of four behind a 4:1 ToR, rack aggregation, R = 2 leased
+/// replicas, 0.2 % wire loss and a minority cut of rack 0's last node that
+/// heals before the lease runs out.
+Case rack_chaos() {
+  Case c;
+  c.build = model::workload_resnet50;
+  c.cfg = seeded();
+  c.cfg.n_workers = 8;
+  c.cfg.method = SyncMethod::kP3;
+  c.cfg.bandwidth = gbps(10);
+  c.cfg.rx_bandwidth = gbps(100);
+  net::Topology topo;
+  topo.racks = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  topo.oversubscription = 4.0;
+  c.cfg.topology = topo;
+  c.cfg.rack_aggregation = true;
+  c.cfg.replication = 2;
+  c.cfg.checkpoint_period = 0.5;
+  c.cfg.max_sim_time = 12.0;
+  c.cfg.faults.lease_duration = 0.4;
+  c.cfg.faults.drop_prob = 0.002;
+  net::NetPartition cut;
+  cut.side_a = {3};
+  cut.side_b = {0, 1, 2, 4, 5, 6, 7};
+  cut.start = 0.1;
+  cut.heal = 0.3;
+  c.cfg.faults.partitions.push_back(cut);
+  c.measured = 4;
+  return c;
+}
+
+Cost measure(const Case& c) {
+  Cluster cluster(c.build(), c.cfg);
+  const RunResult r = cluster.run(c.warmup, c.measured);
+  EXPECT_EQ(r.iterations_measured, c.measured);
+  Cost cost;
+  cost.run_events = cluster.simulator().events_executed();
+  cluster.drain();
+  const net::Network& net = cluster.network();
+  cost.total_events = cluster.simulator().events_executed();
+  cost.posted = net.messages_posted();
+  cost.delivered = net.messages_delivered();
+  cost.dropped = net.messages_dropped();
+  cost.partition_drops = r.partition_drops;
+  EXPECT_EQ(cost.posted, cost.delivered + cost.dropped);
+  cost.throughput = r.throughput;
+  cost.mean_iteration_time = r.mean_iteration_time;
+  cost.total_time = r.total_time;
+  cost.mean_stall_time = r.mean_stall_time;
+  cost.goodput_bytes = r.goodput_bytes;
+  cost.wire_bytes = r.wire_bytes;
+  return cost;
+}
+
+std::string describe(const Cost& c) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{%llu, %llu, %lld, %lld, %lld, %lld, %a, %a, %a, %a, %lld, "
+                "%lld}",
+                static_cast<unsigned long long>(c.run_events),
+                static_cast<unsigned long long>(c.total_events),
+                static_cast<long long>(c.posted),
+                static_cast<long long>(c.delivered),
+                static_cast<long long>(c.dropped),
+                static_cast<long long>(c.partition_drops), c.throughput,
+                c.mean_iteration_time, c.total_time, c.mean_stall_time,
+                static_cast<long long>(c.goodput_bytes),
+                static_cast<long long>(c.wire_bytes));
+  return buf;
+}
+
+void expect_cost(const Cost& got, const Cost& want) {
+  SCOPED_TRACE("measured " + describe(got));
+  EXPECT_EQ(got.run_events, want.run_events);
+  EXPECT_EQ(got.total_events, want.total_events);
+  EXPECT_EQ(got.posted, want.posted);
+  EXPECT_EQ(got.delivered, want.delivered);
+  EXPECT_EQ(got.dropped, want.dropped);
+  EXPECT_EQ(got.partition_drops, want.partition_drops);
+  EXPECT_EQ(got.throughput, want.throughput);
+  EXPECT_EQ(got.mean_iteration_time, want.mean_iteration_time);
+  EXPECT_EQ(got.total_time, want.total_time);
+  EXPECT_EQ(got.mean_stall_time, want.mean_stall_time);
+  EXPECT_EQ(got.goodput_bytes, want.goodput_bytes);
+  EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+}
+
+// Events after run() and after drain(); messages posted, delivered and
+// dropped, and the drops an active cut caused; throughput, mean iteration,
+// total and stall times (exact, as hex floats); goodput and wire bytes.
+constexpr Cost kFlatBaseline = {57491,
+                                57568,
+                                16992,
+                                16992,
+                                0,
+                                0,
+                                0x1.a2df158cd5419p+7,
+                                0x1.38d30ae075fbbp-2,
+                                0x1.d513b800a86b6p-1,
+                                0x1.12c1ef933c2ap-11,
+                                4909212416,
+                                4909325504};
+constexpr Cost kFlatP3 = {115036,
+                          115073,
+                          28272,
+                          28272,
+                          0,
+                          0,
+                          0x1.a2f0eb80e9fc6p+7,
+                          0x1.38bae637006f6p-2,
+                          0x1.d506659573299p-1,
+                          0x1.f34b85453ef4p-12,
+                          4908307200,
+                          4908420288};
+constexpr Cost kSlicedVgg = {201778,
+                             272163,
+                             69192,
+                             69192,
+                             0,
+                             0,
+                             0x1.244febb79e33ap+4,
+                             0x1.c04d0fbfb0d88p+0,
+                             0x1.04be1ea614368p+2,
+                             0x1.2e25e31c0b0a8p+0,
+                             10198771200,
+                             10201319744};
+constexpr Cost kRackChaos = {556446,
+                             576379,
+                             120316,
+                             119025,
+                             1291,
+                             1065,
+                             0x1.176775f4dc157p+7,
+                             0x1.c85fd15c0dc6cp-2,
+                             0x1.1198a69dd3e39p+1,
+                             0x1.261cf1f380d7cp-3,
+                             9550110304,
+                             9726671840};
+
+TEST(CostPin, FlatResNetBaseline) {
+  expect_cost(measure(flat_resnet(SyncMethod::kBaseline)), kFlatBaseline);
+}
+
+TEST(CostPin, FlatResNetP3) {
+  expect_cost(measure(flat_resnet(SyncMethod::kP3)), kFlatP3);
+}
+
+TEST(CostPin, SlicedVgg) { expect_cost(measure(sliced_vgg()), kSlicedVgg); }
+
+TEST(CostPin, RackChaos) {
+  const Cost cost = measure(rack_chaos());
+  // The small chaos run must exercise what it pins: loss and the cut.
+  EXPECT_GT(cost.dropped, cost.partition_drops);
+  EXPECT_GT(cost.partition_drops, 0);
+  expect_cost(cost, kRackChaos);
+}
+
+}  // namespace
+}  // namespace p3::ps

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -39,6 +41,64 @@ TEST(Simulator, TiesRunInSchedulingOrder) {
 TEST(Simulator, NegativeDelayThrows) {
   Simulator sim;
   EXPECT_THROW(sim.schedule(-0.1, [] {}), std::invalid_argument);
+}
+
+// A NaN time would sort after +infinity in the packed event key (and broke
+// the (time, seq) heap order outright before it): all three entry points
+// reject it, and none of them consumes a slot or an event.
+TEST(Simulator, NaNDelayThrows) {
+  Simulator sim;
+  EXPECT_THROW(sim.schedule(std::nan(""), [] {}), std::invalid_argument);
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(Simulator, NaNScheduleAtThrows) {
+  Simulator sim;
+  sim.schedule(2.0, [] {});
+  sim.run();
+  EXPECT_THROW(sim.schedule_at(std::nan(""), [] {}), std::invalid_argument);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.now(), 2.0);
+}
+
+TEST(Simulator, NaNReserveAtThrows) {
+  Simulator sim;
+  EXPECT_THROW((void)sim.reserve_at(std::nan("")), std::invalid_argument);
+  // The order is untouched: a later reservation still runs in place.
+  bool ran = false;
+  sim.schedule_reserved(sim.reserve_at(1.0), [&] { ran = true; });
+  sim.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.now(), 1.0);
+}
+
+TEST(Simulator, InfiniteDelayRunsLast) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(std::numeric_limits<double>::infinity(),
+               [&] { order.push_back(2); });
+  sim.schedule(1e300, [&] { order.push_back(1); });
+  sim.schedule(0.0, [&] { order.push_back(0); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Simulator, ClearDestroysFramesAndDropsPendingEvents) {
+  Simulator sim;
+  int ran = 0;
+  sim.spawn([](Simulator& s, int& count) -> Task {
+    co_await s.sleep(1.0);
+    ++count;
+  }(sim, ran));
+  sim.schedule(0.5, [&] { ++ran; });
+  sim.clear();
+  EXPECT_TRUE(sim.idle());
+  sim.run();
+  EXPECT_EQ(ran, 0);
+  // The simulator stays usable.
+  sim.schedule(1.0, [&] { ++ran; });
+  sim.run();
+  EXPECT_EQ(ran, 1);
 }
 
 TEST(Simulator, ScheduleAtPastClampsToNow) {
