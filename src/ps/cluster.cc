@@ -349,58 +349,50 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
     workers_.push_back(std::move(ws));
 
     auto ss = std::make_unique<ServerState>(sim_);
-    ss->round_bytes.assign(n_slices, 0);
     ss->version.assign(n_slices, 0);
     ss->pending.resize(n_slices);
-    if (membership_on_) {
-      ss->contrib.assign(n_slices,
-                         std::vector<Bytes>(
-                             static_cast<std::size_t>(n_total_workers()), 0));
-      // A joiner is never waited for until its join handshake opens a
-      // bounded-staleness window (beacons alone must not add it to the
-      // expected set).
-      ss->active_from.assign(
-          n_slices, std::vector<std::int64_t>(
-                        static_cast<std::size_t>(n_total_workers()), 0));
-      for (auto& row : ss->active_from) {
-        for (int j = cfg_.n_workers; j < n_total_workers(); ++j) {
-          row[static_cast<std::size_t>(j)] =
-              std::numeric_limits<std::int64_t>::max();
-        }
-      }
-      ss->sync_epoch.assign(n_slices, -1);
-    }
+    ss->ledger.resize(static_cast<std::size_t>(n_servers()));
+    if (membership_on_) ss->sync_epoch.assign(n_slices, -1);
     ss->rxq_gauge = &registry_.gauge(lane("n", server_node(w), ".rxq_depth"));
     servers_.push_back(std::move(ss));
   }
+  group_rows_.assign(static_cast<std::size_t>(n_servers()), 0);
+  ledger_row_.reserve(n_slices);
+  for (const auto& sl : partition_.slices) {
+    ledger_row_.push_back(group_rows_[static_cast<std::size_t>(sl.server)]++);
+  }
 
-  if (membership_on_) {
-    MembershipConfig mcfg;
-    mcfg.n_nodes = total_nodes();
-    mcfg.heartbeat_period = cfg_.heartbeat_period;
-    mcfg.suspicion_timeout = cfg_.suspicion_timeout;
-    for (int n = 0; n < total_nodes(); ++n) {
-      membership_.push_back(std::make_unique<Membership>(mcfg, n));
-      for (int j = cfg_.n_workers; j < n_total_workers(); ++j) {
-        membership_.back()->mark_unjoined(j);
-      }
-      if (drift_on_) {
-        // The detector compares node-local clocks against node-local
-        // last-heard stamps; seed the stamps with this node's clock at
-        // sim-time zero so a pure offset never manufactures suspicion.
-        membership_.back()->reset(local_now(n));
-      }
-      leadership_.push_back(std::make_unique<ShardLeadership>(
-          n_servers(), cfg_.replication, n_total_servers()));
-      if (leases_on_) {
-        // Grant the initial leases: every home primary starts with one full
-        // lease of grace before any observer may act on its silence. Lease
-        // deadlines live on the observing node's clock.
-        for (int g = 0; g < n_servers(); ++g) {
-          leadership_.back()->renew_lease(g, local_now(n) + lease_len_);
-        }
+  // Every node reads its own liveness and leadership views, which stay at
+  // their initial state (every base member alive, home primaries leading)
+  // unless the membership plane moves them.
+  MembershipConfig mcfg;
+  mcfg.n_nodes = total_nodes();
+  mcfg.heartbeat_period = cfg_.heartbeat_period;
+  mcfg.suspicion_timeout = cfg_.suspicion_timeout;
+  for (int n = 0; n < total_nodes(); ++n) {
+    membership_.push_back(std::make_unique<Membership>(mcfg, n));
+    for (int j = cfg_.n_workers; j < n_total_workers(); ++j) {
+      membership_.back()->mark_unjoined(j);
+    }
+    if (drift_on_) {
+      // The detector compares node-local clocks against node-local
+      // last-heard stamps; seed the stamps with this node's clock at
+      // sim-time zero so a pure offset never manufactures suspicion.
+      membership_.back()->reset(local_now(n));
+    }
+    leadership_.push_back(std::make_unique<ShardLeadership>(
+        n_servers(), cfg_.replication, n_total_servers()));
+    if (leases_on_) {
+      // Grant the initial leases: every home primary starts with one full
+      // lease of grace before any observer may act on its silence. Lease
+      // deadlines live on the observing node's clock.
+      for (int g = 0; g < n_servers(); ++g) {
+        leadership_.back()->renew_lease(g, local_now(n) + lease_len_);
       }
     }
+  }
+
+  if (membership_on_) {
     ckpt_versions_.assign(static_cast<std::size_t>(n_total_servers()),
                           std::vector<std::int64_t>(n_slices, 0));
     pending_failover_.resize(static_cast<std::size_t>(total_nodes()));
@@ -728,7 +720,6 @@ void Cluster::enqueue_push(int w, std::int64_t slice, std::int64_t iteration,
 
 int Cluster::slice_dst_node(int worker, std::int64_t slice) const {
   const auto& sl = partition_.slices[static_cast<std::size_t>(slice)];
-  if (!membership_on_) return server_node(sl.server);
   return server_node(
       leadership_[static_cast<std::size_t>(worker)]->primary(sl.server));
 }
@@ -1066,9 +1057,10 @@ sim::Task Cluster::node_demux(int n) {
         // Backup copy of a completed round: versioned state replacement,
         // idempotent under retransmission (stale versions are no-ops).
         if (server_idx < 0) throw std::logic_error("replica at worker node");
-        auto& ss = *servers_[static_cast<std::size_t>(server_idx)];
-        const auto si = static_cast<std::size_t>(m.slice);
-        if (m.version > ss.version[si]) ss.version[si] = m.version;
+        const auto& ss = *servers_[static_cast<std::size_t>(server_idx)];
+        if (m.version > ss.version[static_cast<std::size_t>(m.slice)]) {
+          jump_version(server_idx, m.slice, m.version);
+        }
         break;
       }
       case net::MsgKind::kNewPrimary: {
@@ -1103,20 +1095,9 @@ sim::Task Cluster::node_demux(int n) {
         break;
       }
       case net::MsgKind::kJoinRequest: {
-        // A restarted worker asks to re-enter sync; every group this server
-        // currently leads replies with fresh params and a bounded-staleness
-        // expectation window.
-        if (server_idx < 0) break;  // worker nodes ignore join broadcasts
-        auto& ss = *servers_[static_cast<std::size_t>(server_idx)];
-        const auto& lead = *leadership_[nn];
-        for (std::int64_t s = 0; s < partition_.num_slices(); ++s) {
-          const auto& sl = partition_.slices[static_cast<std::size_t>(s)];
-          if (lead.primary(sl.server) != server_idx) continue;
-          const auto si = static_cast<std::size_t>(s);
-          ss.active_from[si][static_cast<std::size_t>(m.worker)] =
-              ss.version[si] + cfg_.rejoin_slack;
-          send_params(server_idx, s, m.worker);
-        }
+        // A restarted worker asks to re-enter sync (worker nodes ignore
+        // join broadcasts).
+        if (server_idx >= 0) admit_worker(server_idx, m.worker);
         break;
       }
       case net::MsgKind::kSyncRequest: {
@@ -1125,9 +1106,7 @@ sim::Task Cluster::node_demux(int n) {
         // so a rehydrating server can never adopt state from a stale
         // backup.
         if (server_idx < 0) break;
-        const int group =
-            partition_.slices[static_cast<std::size_t>(m.slice)].server;
-        const auto& lease = leadership_[nn]->lease(group);
+        const auto& lease = leadership_[nn]->lease(group_of(m.slice));
         if (lease.primary != server_idx) break;
         auto& ss = *servers_[static_cast<std::size_t>(server_idx)];
         const auto si = static_cast<std::size_t>(m.slice);
@@ -1154,7 +1133,9 @@ sim::Task Cluster::node_demux(int n) {
         if (server_idx < 0) break;
         auto& ss = *servers_[static_cast<std::size_t>(server_idx)];
         const auto si = static_cast<std::size_t>(m.slice);
-        if (m.version > ss.version[si]) ss.version[si] = m.version;
+        if (m.version > ss.version[si]) {
+          jump_version(server_idx, m.slice, m.version);
+        }
         const int group = partition_.slices[si].server;
         leadership_[nn]->adopt(group, m.iteration, m.worker);
         update_acting(server_idx, group);
@@ -1187,9 +1168,10 @@ sim::Task Cluster::node_demux(int n) {
         // versioned and idempotent like kReplicate/kSyncData, so a target
         // restart mid-migration just re-applies the retransmitted copies.
         if (server_idx < 0) break;
-        auto& ss = *servers_[static_cast<std::size_t>(server_idx)];
-        const auto si = static_cast<std::size_t>(m.slice);
-        if (m.version > ss.version[si]) ss.version[si] = m.version;
+        const auto& ss = *servers_[static_cast<std::size_t>(server_idx)];
+        if (m.version > ss.version[static_cast<std::size_t>(m.slice)]) {
+          jump_version(server_idx, m.slice, m.version);
+        }
         migrated_bytes_ += m.logical;
         break;
       }
@@ -1206,6 +1188,20 @@ sim::Task Cluster::node_demux(int n) {
       case net::MsgKind::kRecheck:
         break;  // handled above / never on the wire
     }
+  }
+}
+
+void Cluster::admit_worker(int server, int worker) {
+  // Every group `server` leads replies with fresh parameters and opens a
+  // bounded-staleness window before its rounds wait on the worker again.
+  const auto& ss = *servers_[static_cast<std::size_t>(server)];
+  const auto& lead =
+      *leadership_[static_cast<std::size_t>(server_node(server))];
+  for (std::int64_t s = 0; s < partition_.num_slices(); ++s) {
+    if (lead.primary(group_of(s)) != server) continue;
+    expect_from(server, s, worker,
+                ss.version[static_cast<std::size_t>(s)] + cfg_.rejoin_slack);
+    send_params(server, s, worker);
   }
 }
 
@@ -1264,7 +1260,6 @@ void Cluster::worker_repush_group(int w, int group) {
 
 bool Cluster::agg_usable(int w, int agg) const {
   if (w == agg) return true;  // the loopback fold is always available
-  if (!membership_on_) return true;
   return node_state_[static_cast<std::size_t>(agg)].joined &&
          reachable(agg) &&
          membership_[static_cast<std::size_t>(w)]->alive(agg);
@@ -1299,13 +1294,10 @@ void Cluster::agg_flush(int agg, std::int64_t slice, std::int64_t iteration) {
   for (const int w : rack_workers_[rack]) {
     const auto cit = round.contrib.find(w);
     if (cit != round.contrib.end() && cit->second >= payload) continue;
-    bool expected = true;
-    if (membership_on_) {
-      expected = node_state_[static_cast<std::size_t>(w)].joined &&
-                 (w == agg ||
-                  membership_[static_cast<std::size_t>(agg)]->alive(w));
+    if (node_state_[static_cast<std::size_t>(w)].joined &&
+        (w == agg || membership_[static_cast<std::size_t>(agg)]->alive(w))) {
+      return;  // still waiting on a live member
     }
-    if (expected) return;  // still waiting on a live member
   }
   std::vector<int> cover;
   for (const auto& [w, bytes] : round.contrib) {
@@ -1369,46 +1361,18 @@ void Cluster::send_rack_params(int server, std::int64_t slice) {
   // fabric once per rack (to the aggregator, which re-broadcasts) instead
   // of once per worker. Racks whose aggregator is unusable in the server's
   // view fall back to direct per-worker sends.
-  const auto si = static_cast<std::size_t>(slice);
-  const auto& sl = partition_.slices[si];
-  const auto& ss = *servers_[static_cast<std::size_t>(server)];
   const int snode = server_node(server);
   for (std::size_t r = 0; r < rack_agg_.size(); ++r) {
     const int agg = rack_agg_[r];
-    bool usable = true;
-    if (membership_on_) {
-      usable = node_state_[static_cast<std::size_t>(agg)].joined &&
-               reachable(agg) &&
-               (agg == snode ||
-                membership_[static_cast<std::size_t>(snode)]->alive(agg));
-    }
-    if (!usable) {
-      for (const int w : rack_workers_[r]) {
-        if (!node_state_[static_cast<std::size_t>(w)].joined) continue;
-        send_params(server, slice, w);
-      }
+    if (node_state_[static_cast<std::size_t>(agg)].joined && reachable(agg) &&
+        (agg == snode ||
+         membership_[static_cast<std::size_t>(snode)]->alive(agg))) {
+      send_params(server, slice, agg, net::MsgKind::kRackParams);
       continue;
     }
-    Bytes remaining = sl.payload_bytes();
-    while (remaining > 0) {
-      const Bytes payload = std::min(remaining, cfg_.fragment_bytes);
-      net::Message m;
-      m.src = snode;
-      m.dst = agg;
-      m.kind = net::MsgKind::kRackParams;
-      m.slice = slice;
-      m.layer = sl.layer;
-      m.priority = item_priority(slice);
-      m.worker = agg;
-      m.logical = payload;
-      m.bytes = wire_payload(payload) + net::kHeaderBytes;
-      m.version = ss.version[si];
-      if (tracing()) {
-        m.trace_id = obs::make_trace_id(slice, m.version - 1, agg);
-      }
-      post_tracked(m);
-      ++params_sent_;
-      remaining -= payload;
+    for (const int w : rack_workers_[r]) {
+      if (!node_state_[static_cast<std::size_t>(w)].joined) continue;
+      send_params(server, slice, w);
     }
   }
 }
@@ -1441,13 +1405,13 @@ void Cluster::on_rack_params(int agg, const net::Message& m) {
   worker_on_param(agg, self);
 }
 
-std::vector<int> Cluster::push_cover(const net::Message& m) const {
-  if (m.agg_id < 0) return {m.worker};
+std::span<const int> Cluster::push_cover(const net::Message& m) const {
+  if (m.agg_id < 0) return {&m.worker, 1};
   const auto it = agg_cover_.find(m.agg_id);
   // A consumed cover can only recur through a delivery the dedup layer
   // somehow missed; crediting the forwarding worker alone is safe (the
   // ledger caps it).
-  if (it == agg_cover_.end()) return {m.worker};
+  if (it == agg_cover_.end()) return {&m.worker, 1};
   return it->second.workers;
 }
 
@@ -1559,7 +1523,8 @@ void Cluster::worker_on_param(int w, const net::Message& m) {
   maybe_pull_layer(w, m.layer);
 }
 
-void Cluster::send_params(int server, std::int64_t slice, int worker) {
+void Cluster::send_params(int server, std::int64_t slice, int worker,
+                          net::MsgKind kind) {
   const auto& sl = partition_.slices[static_cast<std::size_t>(slice)];
   const auto& ss = *servers_[static_cast<std::size_t>(server)];
   Bytes remaining = sl.payload_bytes();
@@ -1568,7 +1533,7 @@ void Cluster::send_params(int server, std::int64_t slice, int worker) {
     net::Message m;
     m.src = server_node(server);
     m.dst = worker;
-    m.kind = net::MsgKind::kParams;
+    m.kind = kind;
     m.slice = slice;
     m.layer = sl.layer;
     m.priority = item_priority(slice);
@@ -1585,21 +1550,217 @@ void Cluster::send_params(int server, std::int64_t slice, int worker) {
   }
 }
 
-bool Cluster::round_complete(int server, std::int64_t slice) const {
-  const auto& ss = *servers_[static_cast<std::size_t>(server)];
-  const auto si = static_cast<std::size_t>(slice);
-  const Bytes payload = partition_.slices[si].payload_bytes();
-  const auto& view = *membership_[static_cast<std::size_t>(server_node(server))];
-  bool any = false;
-  for (int w = 0; w < n_total_workers(); ++w) {
-    const auto wi = static_cast<std::size_t>(w);
-    const bool done = ss.contrib[si][wi] >= payload;
-    any = any || done;
-    const bool expected =
-        view.alive(w) && ss.active_from[si][wi] <= ss.version[si];
-    if (expected && !done) return false;
+// ---------------------------------------------------------------------------
+// Exactly-once contribution ledger: the one way a server completes a round.
+// ---------------------------------------------------------------------------
+
+Cluster::GroupLedger& Cluster::open_ledger(int server, std::int64_t slice) {
+  const auto group = static_cast<std::size_t>(group_of(slice));
+  auto& ledger = servers_[static_cast<std::size_t>(server)]->ledger[group];
+  if (ledger == nullptr) {
+    ledger = std::make_unique<GroupLedger>();
+    ledger->count.resize(group_rows_[group]);
+    ledger->sets.assign(ledger->count.size() * 3 * mask_words(), 0);
   }
-  return any;  // never complete an empty round
+  return *ledger;
+}
+
+Bytes Cluster::credit(int server, std::int64_t slice, int worker,
+                      Bytes bytes) {
+  GroupLedger& ledger = open_ledger(server, slice);
+  const std::size_t row = ledger_row_[static_cast<std::size_t>(slice)];
+  const auto w = static_cast<std::size_t>(worker);
+  std::uint64_t* full = &ledger.sets[row_sets(slice) + w / 64];
+  std::uint64_t* partial = full + mask_words();
+  const std::uint64_t* expected = partial + mask_words();
+  const std::uint64_t bit = std::uint64_t{1} << (w % 64);
+  if ((*full & bit) != 0) return 0;  // complete already
+  const Bytes payload =
+      partition_.slices[static_cast<std::size_t>(slice)].payload_bytes();
+  const Bytes have =
+      (*partial & bit) != 0 ? ledger.contrib[cell(slice, worker)] : 0;
+  const Bytes add = std::min(bytes, payload - have);
+  if (add <= 0) return 0;
+  if (have + add < payload) {
+    // One fragment of the payload: keep its bytes until the rest arrives.
+    if (ledger.contrib.empty()) {
+      ledger.contrib.assign(
+          ledger.count.size() * static_cast<std::size_t>(n_total_workers()),
+          0);
+    }
+    ledger.contrib[cell(slice, worker)] = have + add;
+    *partial |= bit;
+    return add;
+  }
+  *partial &= ~bit;
+  *full |= bit;
+  ++ledger.count[row].full;
+  // The expected set the counts were taken with: a stale count is retaken
+  // whole at its next check.
+  if ((*expected & bit) != 0) ++ledger.count[row].expected_in;
+  return add;
+}
+
+Bytes Cluster::credit_push(int server, const net::Message& m) {
+  const auto group = static_cast<std::size_t>(group_of(m.slice));
+  const Bytes payload =
+      partition_.slices[static_cast<std::size_t>(m.slice)].payload_bytes();
+  // DSSP run-ahead: a round the shard has not opened yet collects in the
+  // future-round buffer under the same cap until it opens (dssp_promote).
+  std::map<int, Bytes>* future = nullptr;
+  if (dssp_on_ && m.iteration > servers_[static_cast<std::size_t>(server)]
+                                    ->version[static_cast<std::size_t>(
+                                        m.slice)]) {
+    future = &dssp_future_[static_cast<std::size_t>(server)]
+                          [{m.slice, m.iteration}];
+  }
+  Bytes credited = 0;
+  for (const int cw : push_cover(m)) {
+    Bytes add = 0;
+    if (future == nullptr) {
+      add = credit(server, m.slice, cw, m.logical);
+    } else if (Bytes& have = (*future)[cw]; have < payload) {
+      add = std::min(m.logical, payload - have);
+      have += add;
+    }
+    credited += add;
+    if (scale_plane_ && hierarchy_on_) {
+      // Per-rack push weight by origin rack: the drain-target rack
+      // preference reads this.
+      rack_group_push_bytes_[static_cast<std::size_t>(
+          node_rack_[static_cast<std::size_t>(cw)])][group] +=
+          static_cast<double>(add);
+    }
+  }
+  if (scale_plane_ && credited > 0) {
+    // Credited (exactly-once) bytes are the weighted planner's observed
+    // per-group push signal.
+    group_push_bytes_[group] += static_cast<double>(credited);
+  }
+  consume_cover(m);
+  if (credited == 0) ++duplicates_suppressed_;
+  return credited;
+}
+
+void Cluster::reset_round(int server, std::int64_t slice) {
+  GroupLedger* ledger = ledger_of(server, slice);
+  if (ledger == nullptr) return;
+  // The full and partial sets.
+  std::fill_n(ledger->sets.begin() +
+                  static_cast<std::ptrdiff_t>(row_sets(slice)),
+              2 * mask_words(), 0);
+  RowCount& count =
+      ledger->count[ledger_row_[static_cast<std::size_t>(slice)]];
+  count.expected_in = count.full = 0;
+}
+
+void Cluster::next_round(int server, std::int64_t slice) {
+  reset_round(server, slice);
+  ++servers_[static_cast<std::size_t>(server)]
+        ->version[static_cast<std::size_t>(slice)];
+  // The step can open an active window; without one the expected set does
+  // not depend on the version.
+  GroupLedger& ledger = *ledger_of(server, slice);
+  if (!ledger.active_from.empty()) {
+    ledger.count[ledger_row_[static_cast<std::size_t>(slice)]].gen =
+        RowCount::kStale;
+  }
+}
+
+std::int64_t Cluster::active_from(int server, std::int64_t slice,
+                                  int worker) {
+  const GroupLedger* ledger = ledger_of(server, slice);
+  if (ledger != nullptr && !ledger->active_from.empty()) {
+    return ledger->active_from[cell(slice, worker)];
+  }
+  return default_active_from(worker);
+}
+
+void Cluster::expect_from(int server, std::int64_t slice, int worker,
+                          std::int64_t round) {
+  GroupLedger& ledger = open_ledger(server, slice);
+  if (ledger.active_from.empty()) {
+    // First write: every cell starts from its never-written default.
+    std::vector<std::int64_t> cells(
+        ledger.count.size() * static_cast<std::size_t>(n_total_workers()));
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      cells[i] = active_from(
+          server, slice,
+          static_cast<int>(i % static_cast<std::size_t>(n_total_workers())));
+    }
+    ledger.active_from = std::move(cells);
+  }
+  ledger.active_from[cell(slice, worker)] = round;
+  ledger.count[ledger_row_[static_cast<std::size_t>(slice)]].gen =
+      RowCount::kStale;
+}
+
+void Cluster::jump_version(int server, std::int64_t slice,
+                           std::int64_t version) {
+  servers_[static_cast<std::size_t>(server)]
+      ->version[static_cast<std::size_t>(slice)] = version;
+  if (GroupLedger* ledger = ledger_of(server, slice)) {
+    ledger->count[ledger_row_[static_cast<std::size_t>(slice)]].gen =
+        RowCount::kStale;
+  }
+}
+
+Cluster::RowCount Cluster::count_row(int server, std::int64_t slice,
+                                     std::uint64_t* mask) {
+  const GroupLedger& ledger = *ledger_of(server, slice);
+  const Membership& view =
+      *membership_[static_cast<std::size_t>(server_node(server))];
+  const std::int64_t version = servers_[static_cast<std::size_t>(server)]
+                                   ->version[static_cast<std::size_t>(slice)];
+  const std::size_t first = cell(slice, 0);
+  const std::uint64_t* full = &ledger.sets[row_sets(slice)];
+  RowCount count;
+  count.gen = view.generation();
+  if (mask != nullptr) std::fill_n(mask, mask_words(), 0);
+  for (int w = 0; w < n_total_workers(); ++w) {
+    const auto i = first + static_cast<std::size_t>(w);
+    const int in = static_cast<int>((full[w / 64] >> (w % 64)) & 1);
+    count.full += in;
+    // Expected: alive in the server's view and inside its active window.
+    if (view.alive(w) &&
+        (ledger.active_from.empty() ? default_active_from(w)
+                                    : ledger.active_from[i]) <= version) {
+      ++count.expected;
+      count.expected_in += in;
+      if (mask != nullptr) mask[w / 64] |= std::uint64_t{1} << (w % 64);
+    }
+  }
+  return count;
+}
+
+bool Cluster::round_complete(int server, std::int64_t slice, bool audit) {
+  GroupLedger* ledger = ledger_of(server, slice);
+  if (ledger == nullptr) return false;  // nothing credited yet
+  const std::size_t row = ledger_row_[static_cast<std::size_t>(slice)];
+  RowCount& count = ledger->count[row];
+  if (count.gen != membership_[static_cast<std::size_t>(server_node(server))]
+                       ->generation()) {
+    count = count_row(server, slice,
+                      &ledger->sets[row_sets(slice) + 2 * mask_words()]);
+  }
+  const bool done = count.expected_in == count.expected && count.full > 0;
+  if (done || audit) {
+    const RowCount scan = count_row(server, slice);
+    if (scan.expected != count.expected ||
+        scan.expected_in != count.expected_in || scan.full != count.full) {
+      throw std::logic_error(
+          "ledger completion count out of step with its row");
+    }
+  }
+  return done;
+}
+
+void Cluster::answer_stale_push(int server, const net::Message& m) {
+  for (const int cw : push_cover(m)) {
+    ++stale_pushes_;
+    send_params(server, m.slice, cw);
+  }
+  consume_cover(m);
 }
 
 void Cluster::release_round(int server, std::int64_t slice,
@@ -1709,7 +1870,7 @@ void Cluster::redirect_to_leader(int server, const net::Message& m) {
   // flight. The payload itself is intentionally dropped — the true leader
   // got (or will get) its own copy via the adoption re-push.
   const int n = server_node(server);
-  const int group = partition_.slices[static_cast<std::size_t>(m.slice)].server;
+  const int group = group_of(m.slice);
   const auto& lease = leadership_[static_cast<std::size_t>(n)]->lease(group);
   if (m.kind == net::MsgKind::kPullRequest && lease.primary >= 0 &&
       lease.primary != server) {
@@ -1738,48 +1899,44 @@ sim::Task Cluster::server_loop(int n) {
   // `n` is the *server index*; its NIC is node server_node(n).
   auto& ss = *servers_[static_cast<std::size_t>(n)];
   const auto node = static_cast<std::size_t>(server_node(n));
+  const ShardLeadership& lead = *leadership_[node];
   for (;;) {
     const RxItem item = co_await ss.rxq.pop();
     rxq_depth_changed(n, -1);
     if (!node_state_[node].up) continue;  // dead process
     const net::Message& m = *item.msg;
 
-    // Membership plane: a death notice shrank the expected set (or a
-    // takeover re-seeded it); sweep every slice this server leads for
-    // rounds that are now completable without the dead workers.
+    // A kRecheck sweeps every slice this server leads: a death notice
+    // shrank the expected set, or a takeover, rehydration or lease reopen
+    // re-seeded it. A push can complete only its own slice's round.
+    const bool sweep = m.kind == net::MsgKind::kRecheck;
     std::vector<std::int64_t> recheck;
-    if (m.kind == net::MsgKind::kRecheck) {
-      const auto& lead = *leadership_[node];
+    if (sweep) {
       for (std::int64_t s = 0; s < partition_.num_slices(); ++s) {
-        const int group = partition_.slices[static_cast<std::size_t>(s)].server;
-        if (lead.primary(group) == n) recheck.push_back(s);
+        if (lead.primary(group_of(s)) == n) recheck.push_back(s);
       }
     }
+    std::int64_t pushed = -1;  ///< slice whose round the push may complete
+    /// Aggregation start of a push that completed its round: the round's
+    /// update span draws from it.
+    TimeS update_from = -1.0;
 
     if (m.kind == net::MsgKind::kPullRequest ||
         m.kind == net::MsgKind::kPushGradient) {
       const auto slice_idx = static_cast<std::size_t>(m.slice);
       const auto& sl = partition_.slices[slice_idx];
-      if (!membership_on_) {
-        if (sl.server != n) {
-          throw std::logic_error("slice routed to wrong server");
-        }
-      } else {
-        if (leadership_[node]->chain_offset(sl.server, n) < 0) {
-          if (!cfg_.faults.joins.empty() || scale_plane_) {
-            // Elastic rebalancing and drain migrations re-derive chains
-            // around the new owner, so a donor dropped from a handed-over
-            // group can still see stragglers addressed under the old
-            // chain: redirect them.
-            redirect_to_leader(n, m);
-            continue;
-          }
+      if (lead.primary(sl.server) != n) {
+        // Not the leader in this server's view: point the sender at the one
+        // it believes in. Only elastic rebalancing and drain migrations,
+        // which re-derive chains around the new owner, can leave a server
+        // outside the chain still seeing stragglers addressed under the old
+        // one.
+        if (lead.chain_offset(sl.server, n) < 0 &&
+            cfg_.faults.joins.empty() && !scale_plane_) {
           throw std::logic_error("slice routed outside its replica group");
         }
-        if (leadership_[node]->primary(sl.server) != n) {
-          redirect_to_leader(n, m);
-          continue;
-        }
+        redirect_to_leader(n, m);
+        continue;
       }
       if (m.kind == net::MsgKind::kPushGradient && tracing()) {
         lc(obs::Stage::kServerRecv, m.worker, m.slice, m.iteration, m.logical);
@@ -1794,53 +1951,44 @@ sim::Task Cluster::server_loop(int n) {
         continue;
       }
 
-      if (membership_on_) {
-        // Stale push: the round already committed cluster-wide (this is a
-        // post-failover or post-rejoin re-push). Answer with the current
-        // parameters so the sender unblocks — this reply IS the recovery
-        // path for rounds that committed just before a primary died.
-        if (m.iteration + 1 <= ss.version[slice_idx]) {
-          // An aggregated stale push answers every covered worker: each of
-          // them is waiting on parameters this reply is the recovery path
-          // for.
-          for (const int cw : push_cover(m)) {
-            ++stale_pushes_;
-            send_params(n, m.slice, cw);
+      // Stale push: the round already committed cluster-wide (this is a
+      // post-failover or post-rejoin re-push). Answer with the current
+      // parameters so the sender unblocks — this reply IS the recovery
+      // path for rounds that committed just before a primary died.
+      if (m.iteration + 1 <= ss.version[slice_idx]) {
+        answer_stale_push(n, m);
+        continue;
+      }
+      // Future push: the sender's params are newer than this replica's
+      // state (possible only when every fresher replica was lost and this
+      // one rehydrated from an old checkpoint). The workers' copies are
+      // the surviving truth: fast-forward to their round.
+      if (m.iteration > ss.version[slice_idx]) {
+        if (dssp_on_) {
+          // Under DSSP a future push is *normal* run-ahead, so it only
+          // proves commitment up to the sender's carried held-params
+          // floor (rounds below `m.version` were released to it) or, as
+          // a fallback, `iteration - s_max` from the forward gate.
+          // Fast-forward to exactly that proven floor (a no-op in
+          // healthy operation); anything still ahead of the shard's round
+          // parks in the future-round buffer after aggregation below.
+          const int s_max = cfg_.staleness.fixed_s >= 0
+                                ? cfg_.staleness.fixed_s
+                                : cfg_.staleness.s_max;
+          const std::int64_t proven =
+              std::max(m.version, m.iteration - s_max);
+          if (proven > ss.version[slice_idx]) {
+            jump_version(n, m.slice, proven);
+            reset_round(n, m.slice);
+            // Run-ahead pushes for the newly opened round may already be
+            // parked in the future buffer (they arrived while the shard
+            // lagged behind the proven floor); fold them in now or the
+            // round waits forever for contributions it already holds.
+            dssp_promote(n, m.slice);
           }
-          consume_cover(m);
-          continue;
-        }
-        // Future push: the sender's params are newer than this replica's
-        // state (possible only when every fresher replica was lost and this
-        // one rehydrated from an old checkpoint). The workers' copies are
-        // the surviving truth: fast-forward to their round.
-        if (m.iteration > ss.version[slice_idx]) {
-          if (dssp_on_) {
-            // Under DSSP a future push is *normal* run-ahead, so it only
-            // proves commitment up to the sender's carried held-params
-            // floor (rounds below `m.version` were released to it) or, as
-            // a fallback, `iteration - s_max` from the forward gate.
-            // Fast-forward to exactly that proven floor (a no-op in
-            // healthy operation); anything still ahead of the shard's round
-            // parks in the future-round buffer after aggregation below.
-            const int s_max = cfg_.staleness.fixed_s >= 0
-                                  ? cfg_.staleness.fixed_s
-                                  : cfg_.staleness.s_max;
-            const std::int64_t proven =
-                std::max(m.version, m.iteration - s_max);
-            if (proven > ss.version[slice_idx]) {
-              ss.version[slice_idx] = proven;
-              for (auto& c : ss.contrib[slice_idx]) c = 0;
-              // Run-ahead pushes for the newly opened round may already be
-              // parked in the future buffer (they arrived while the shard
-              // lagged behind the proven floor); fold them in now or the
-              // round waits forever for contributions it already holds.
-              dssp_promote(n, m.slice);
-            }
-          } else {
-            ss.version[slice_idx] = m.iteration;
-            for (auto& c : ss.contrib[slice_idx]) c = 0;
-          }
+        } else {
+          jump_version(n, m.slice, m.iteration);
+          reset_round(n, m.slice);
         }
       }
 
@@ -1851,40 +1999,6 @@ sim::Task Cluster::server_loop(int n) {
       co_await sim_.sleep(static_cast<double>(payload) /
                           cfg_.update_bytes_per_sec);
       if (!node_state_[node].up) continue;  // died mid-add
-      if (!membership_on_) {
-        if (tracing()) {
-          lc(obs::Stage::kAggregate, m.worker, m.slice, m.iteration, 0);
-        }
-        if (agg_on_ && m.agg_id >= 0) {
-          // A combined push carries one pre-reduced payload standing in for
-          // every covered worker's contribution.
-          ss.round_bytes[slice_idx] +=
-              payload * static_cast<Bytes>(push_cover(m).size());
-          consume_cover(m);
-        } else {
-          ss.round_bytes[slice_idx] += payload;
-        }
-        const Bytes round_target = sl.payload_bytes() * cfg_.n_workers;
-        if (ss.round_bytes[slice_idx] >= round_target) {
-          // All workers contributed: run the optimizer step on the shard.
-          ss.round_bytes[slice_idx] = 0;
-          co_await sim_.sleep(
-              static_cast<double>(sl.payload_bytes()) /
-                  cfg_.update_bytes_per_sec +
-              cfg_.update_overhead);
-          ++ss.version[slice_idx];
-          ++rounds_completed_;
-          if (tracing()) {
-            step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
-                          'U', sl.layer + 1);
-          }
-          release_round(n, m.slice, m.iteration);
-        } else if (tracing()) {
-          step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
-                        'a', sl.layer + 1);
-        }
-        continue;
-      }
 
       // DSSP: the version can move during the aggregation sleep (another
       // push's completion loop, or this push's own pre-sleep fast-forward
@@ -1892,106 +2006,74 @@ sim::Task Cluster::server_loop(int n) {
       // newly-stale push answers with parameters instead of polluting the
       // open round.
       if (dssp_on_ && m.iteration + 1 <= ss.version[slice_idx]) {
-        for (const int cw : push_cover(m)) {
-          ++stale_pushes_;
-          send_params(n, m.slice, cw);
-        }
-        consume_cover(m);
-        // A pre-sleep fast-forward may have left the open round fully
-        // funded from promoted buffers; sweep it below.
-        recheck.push_back(m.slice);
+        answer_stale_push(n, m);
         continue;
       }
 
+      pushed = m.slice;
       // DSSP run-ahead: a push for a round this shard has not opened yet is
       // a legitimate contribution from a worker running within the
-      // staleness bound. Park it in the future-round buffer (aggregation
-      // cost already paid above); it promotes into the live ledger the
+      // staleness bound. It parks in the future-round buffer (aggregation
+      // cost already paid above) and promotes into the live ledger the
       // moment its round opens — park-never-drop.
-      if (dssp_on_ && m.iteration > ss.version[slice_idx]) {
-        dssp_buffer_future(n, m);
+      const bool future = dssp_on_ && m.iteration > ss.version[slice_idx];
+      // Re-pushed fragments, and a direct re-push racing a forwarded rack
+      // cover, merge exactly once.
+      const Bytes credited = credit_push(n, m);
+      if (future) {
         if (tracing()) {
           step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
-                        'f', sl.layer + 1);
+                    'f', sl.layer + 1);
         }
         // The pre-sleep bounded fast-forward (or a round that closed during
         // this push's aggregation sleep) may have promoted buffered
         // contributions that fully fund the open round — and every later
         // push for this slice may divert here too. Fall through to the
-        // completion sweep below or a fully-funded round wedges waiting
+        // completion check below or a fully-funded round wedges waiting
         // for a merge that never comes.
-        recheck.push_back(m.slice);
-      } else {
-        // Membership path: per-worker contribution ledger, capped at one
-        // payload per worker per round so re-pushed fragments merge exactly
-        // once. An aggregated push credits every covered worker with the
-        // (pre-reduced) payload under the same cap, so a direct re-push that
-        // races a forwarded cover can never double-count.
-        Bytes credited = 0;
-        for (const int cw : push_cover(m)) {
-          auto& contrib = ss.contrib[slice_idx][static_cast<std::size_t>(cw)];
-          const Bytes room = sl.payload_bytes() - contrib;
-          if (room <= 0) continue;
-          const Bytes add = std::min(payload, room);
-          contrib += add;
-          credited += add;
-          if (scale_plane_ && hierarchy_on_) {
-            // Per-rack push weight by origin rack: the drain-target rack
-            // preference reads this.
-            rack_group_push_bytes_[static_cast<std::size_t>(
-                node_rack_[static_cast<std::size_t>(cw)])]
-                                  [static_cast<std::size_t>(sl.server)] +=
-                static_cast<double>(add);
-          }
-        }
-        if (scale_plane_ && credited > 0) {
-          // Credited (exactly-once) ledger bytes are the weighted planner's
-          // observed per-group push signal.
-          group_push_bytes_[static_cast<std::size_t>(sl.server)] +=
-              static_cast<double>(credited);
-        }
-        consume_cover(m);
-        if (credited == 0) {
-          ++duplicates_suppressed_;
-          if (tracing()) {
-            step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
-                          'd', sl.layer + 1);
-          }
-          continue;
-        }
+      } else if (credited == 0) {
         if (tracing()) {
-          lc(obs::Stage::kAggregate, m.worker, m.slice, m.iteration, 0);
-          if (!round_complete(n, m.slice)) {
-            step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
-                          'a', sl.layer + 1);
-          }
+          step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
+                    'd', sl.layer + 1);
         }
-        recheck.push_back(m.slice);
+        continue;
+      } else if (tracing()) {
+        lc(obs::Stage::kAggregate, m.worker, m.slice, m.iteration, 0);
+        if (round_complete(n, m.slice)) {
+          update_from = t0;
+        } else {
+          step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
+                    'a', sl.layer + 1);
+        }
       }
     }
 
-    // Complete every round the triggering event made ready.
-    for (const std::int64_t s : recheck) {
+    // Complete every round the triggering event made ready. A sweep checks
+    // each count it reads against a full scan of its row.
+    const std::span<const std::int64_t> ready =
+        pushed >= 0 ? std::span<const std::int64_t>(&pushed, 1)
+                    : std::span<const std::int64_t>(recheck);
+    for (const std::int64_t s : ready) {
       const auto si = static_cast<std::size_t>(s);
       const auto& sl = partition_.slices[si];
-      while (leadership_[node]->primary(sl.server) == n &&
-             !group_frozen(n, sl.server) && round_complete(n, s)) {
+      while (lead.primary(sl.server) == n && !group_frozen(n, sl.server) &&
+             round_complete(n, s, sweep)) {
         const std::int64_t round = ss.version[si];
-        const TimeS t0 = sim_.now();
+        const TimeS t0 = update_from >= 0.0 ? update_from : sim_.now();
+        update_from = -1.0;
         co_await sim_.sleep(
             static_cast<double>(sl.payload_bytes()) /
                 cfg_.update_bytes_per_sec +
             cfg_.update_overhead);
         if (!node_state_[node].up) break;  // died mid-optimizer-step
-        for (auto& c : ss.contrib[si]) c = 0;
-        ++ss.version[si];
+        next_round(n, s);
         ++rounds_completed_;
         // The new round may already be fully funded by buffered run-ahead
         // pushes; promote them before the loop re-checks completion.
         if (dssp_on_) dssp_promote(n, s);
         if (tracing()) {
           step_span(*tracer_, HotLane::kSrv, server_node(n), t0, sim_.now(),
-                        'U', sl.layer + 1);
+                    'U', sl.layer + 1);
         }
         if (cfg_.replication > 1) {
           commit_round(n, s, round);
@@ -2096,39 +2178,10 @@ void Cluster::dssp_set_clock(int w, std::int64_t clock) {
   dssp_advance_gate();
 }
 
-void Cluster::dssp_buffer_future(int server, const net::Message& m) {
-  const auto& sl = partition_.slices[static_cast<std::size_t>(m.slice)];
-  auto& round =
-      dssp_future_[static_cast<std::size_t>(server)][{m.slice, m.iteration}];
-  Bytes credited = 0;
-  for (const int cw : push_cover(m)) {
-    Bytes& have = round[cw];
-    const Bytes room = sl.payload_bytes() - have;
-    if (room <= 0) continue;
-    const Bytes add = std::min(m.logical, room);
-    have += add;
-    credited += add;
-    if (scale_plane_ && hierarchy_on_) {
-      rack_group_push_bytes_[static_cast<std::size_t>(
-          node_rack_[static_cast<std::size_t>(cw)])]
-                            [static_cast<std::size_t>(sl.server)] +=
-          static_cast<double>(add);
-    }
-  }
-  if (scale_plane_ && credited > 0) {
-    group_push_bytes_[static_cast<std::size_t>(sl.server)] +=
-        static_cast<double>(credited);
-  }
-  consume_cover(m);
-  if (credited == 0) ++duplicates_suppressed_;
-}
-
 void Cluster::dssp_promote(int server, std::int64_t slice) {
   auto& fut = dssp_future_[static_cast<std::size_t>(server)];
-  auto& ss = *servers_[static_cast<std::size_t>(server)];
-  const auto si = static_cast<std::size_t>(slice);
-  const auto& sl = partition_.slices[si];
-  const std::int64_t round = ss.version[si];
+  const std::int64_t round = servers_[static_cast<std::size_t>(server)]
+                                 ->version[static_cast<std::size_t>(slice)];
   // Rounds that closed while buffered (possible only after a bounded
   // fast-forward recovered past them) were committed cluster-wide; drop
   // their stale buffers.
@@ -2141,12 +2194,7 @@ void Cluster::dssp_promote(int server, std::int64_t slice) {
       it->first.second != round) {
     return;
   }
-  for (const auto& [cw, bytes] : it->second) {
-    auto& contrib = ss.contrib[si][static_cast<std::size_t>(cw)];
-    const Bytes room = sl.payload_bytes() - contrib;
-    if (room <= 0) continue;
-    contrib += std::min(bytes, room);
-  }
+  for (const auto& [cw, bytes] : it->second) credit(server, slice, cw, bytes);
   fut.erase(it);
 }
 
@@ -2285,11 +2333,8 @@ void Cluster::takeover_group(int server, int group) {
   // Open rounds restart from empty accumulators under the new epoch;
   // workers re-push on adoption, and rounds that committed before the old
   // primary died are answered from the replicated state (stale-push reply).
-  auto& ss = *servers_[static_cast<std::size_t>(server)];
   for (std::int64_t s = 0; s < partition_.num_slices(); ++s) {
-    const auto si = static_cast<std::size_t>(s);
-    if (partition_.slices[si].server != group) continue;
-    for (auto& c : ss.contrib[si]) c = 0;
+    if (group_of(s) == group) reset_round(server, s);
   }
   announce_primary(server, group, epoch, server);
   // The announcement skips this node, but a colocated worker shares the
@@ -2500,7 +2545,7 @@ void Cluster::finish_migration(const MigrationState& ms) {
     // Contributions to rounds the donor will never finish die here; the
     // workers re-push them to the target on adoption (the ledger's per-
     // round cap keeps the merge exactly-once).
-    for (auto& c : ss.contrib[si]) c = 0;
+    reset_round(ms.donor, s);
     auto parked = std::move(ss.pending[si]);
     ss.pending[si].clear();
     for (const auto& p : parked) {
@@ -2551,15 +2596,14 @@ void Cluster::on_beacon(int n, int src, const Membership::BeaconEffect& effect,
     // on the far side. Its catch-up drains through stale-push replies.
     if (n < n_total_workers()) unpark_worker(n);
     if (my_server >= 0 && src < n_total_workers()) {
-      auto& ss = *servers_[static_cast<std::size_t>(my_server)];
-      const auto sw = static_cast<std::size_t>(src);
+      const auto& ss = *servers_[static_cast<std::size_t>(my_server)];
       bool leads_any = false;
       for (std::int64_t s = 0; s < partition_.num_slices(); ++s) {
         const auto si = static_cast<std::size_t>(s);
         if (lead.primary(partition_.slices[si].server) != my_server) continue;
-        ss.active_from[si][sw] =
-            std::max(ss.active_from[si][sw],
-                     ss.version[si] + cfg_.rejoin_slack);
+        expect_from(my_server, s, src,
+                    std::max(active_from(my_server, s, src),
+                             ss.version[si] + cfg_.rejoin_slack));
         leads_any = true;
       }
       if (leads_any) inject_recheck(my_server);
@@ -2858,7 +2902,7 @@ sim::Task Cluster::server_rehydrate(int s, std::int64_t epoch) {
     const auto si = static_cast<std::size_t>(sl);
     const int group = partition_.slices[si].server;
     if (lead.chain_offset(group, s) < 0) continue;
-    ss.version[si] = ckpt_versions_[static_cast<std::size_t>(s)][si];
+    jump_version(s, sl, ckpt_versions_[static_cast<std::size_t>(s)][si]);
     mine.push_back(sl);
   }
   // Delta-sync: ask the group peers for everything newer than the
@@ -2946,17 +2990,7 @@ sim::Task Cluster::worker_rejoin(int w, std::int64_t epoch) {
     }
     // Colocated self-serve: the local server (once rehydrated) answers the
     // join inline — no wire hop for the local shard.
-    if (!cfg_.dedicated_servers) {
-      const int s = w;
-      auto& ss = *servers_[static_cast<std::size_t>(s)];
-      const auto& lead = *leadership_[wn];
-      for (std::int64_t sl = 0; sl < partition_.num_slices(); ++sl) {
-        const auto si = static_cast<std::size_t>(sl);
-        if (lead.primary(partition_.slices[si].server) != s) continue;
-        ss.active_from[si][wn] = ss.version[si] + cfg_.rejoin_slack;
-        send_params(s, sl, w);
-      }
-    }
+    if (!cfg_.dedicated_servers) admit_worker(w, w);
     co_await sim_.sleep(cfg_.suspicion_timeout);
     if (node_state_[wn].epoch != epoch || stopping_) co_return;
     bool complete = true;
@@ -3026,7 +3060,9 @@ void Cluster::teardown_process_state(int node) {
     }
     rxq_depth_changed(s, static_cast<std::int64_t>(ss.rxq.size()) -
                              ss.rxq_depth);
-    for (auto& row : ss.contrib) std::fill(row.begin(), row.end(), 0);
+    for (std::int64_t sl = 0; sl < partition_.num_slices(); ++sl) {
+      reset_round(s, sl);
+    }
     for (auto& p : ss.pending) p.clear();
     // Buffered run-ahead contributions are server memory; workers re-push
     // their whole outstanding window when leadership moves.
@@ -3711,13 +3747,8 @@ void Cluster::drain() {
 
 std::int64_t Cluster::slice_version(std::int64_t slice) const {
   const auto& sl = partition_.slices[static_cast<std::size_t>(slice)];
-  if (!membership_on_) {
-    return servers_[static_cast<std::size_t>(sl.server)]
-        ->version[static_cast<std::size_t>(slice)];
-  }
-  // Replicated shard: the authoritative version lives at whichever replica
-  // is furthest ahead (the current leader; backups trail by in-flight
-  // replication only).
+  // The authoritative version lives at whichever replica is furthest ahead
+  // (the current leader; backups trail by in-flight replication only).
   std::int64_t best = 0;
   // Read leadership through the first non-retired node: a retired node's
   // view froze at retirement and may predate later handovers.

@@ -15,18 +15,20 @@
 // enabled the most urgent slice is always sent next, preempting queued
 // lower-priority traffic at slice/fragment granularity.
 //
-// Servers aggregate pushes per slice; when gradients from all workers have
-// arrived they apply the update and either broadcast the new parameters
+// Servers aggregate pushes per slice in an exactly-once contribution ledger;
+// when every worker the server's view expects has contributed its full
+// payload they apply the update and either broadcast the new parameters
 // immediately (P3) or notify workers, which then issue pull requests
 // (baseline KVStore). TensorFlow-style deferred pulls issue all pull
 // requests at the start of the next iteration instead.
 //
-// Crash recovery (docs/PROTOCOL.md): when a fault plan schedules node
-// crashes — or `replication > 1` is set — the cluster additionally runs a
-// membership plane: every node gossips heartbeat beacons and keeps an
-// independent liveness view (`ps::Membership`); each server shard is
-// replicated on `replication` consecutive servers with primary-backup
-// propagation and a commit barrier (parameters are released
+// Crash recovery (docs/PROTOCOL.md): every node keeps an independent
+// liveness view (`ps::Membership`) and leadership view
+// (`ps::ShardLeadership`). When a fault plan schedules node crashes — or
+// `replication > 1` is set — the cluster additionally runs a membership
+// plane that moves them: every node gossips heartbeat beacons; each server
+// shard is replicated on `replication` consecutive servers with
+// primary-backup propagation and a commit barrier (parameters are released
 // to workers only after every live backup acknowledged the replicated
 // state); on primary death the first live replica in chain order takes over
 // with a bumped epoch and workers deterministically re-push un-acknowledged
@@ -53,9 +55,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -465,7 +469,8 @@ class Cluster {
     return fenced_[static_cast<std::size_t>(server_node(server))].count(
                group) > 0;
   }
-  /// Local liveness view of `node` (membership plane must be armed).
+  /// Local liveness view of `node` (static unless the membership plane is
+  /// armed).
   const Membership& membership_view(int node) const {
     return *membership_[static_cast<std::size_t>(node)];
   }
@@ -564,26 +569,49 @@ class Cluster {
     bool queued = false;  ///< a retransmit item is sitting in the sendq
   };
 
+  /// Counts that make a row's completion check O(1): credit() and
+  /// reset_round() keep them, and count_row retakes them when `gen` is not
+  /// the server view's generation (a liveness flip) or was set to kStale
+  /// (an active_from write, a version move outside completion, or
+  /// completion's step on a row that holds a window).
+  struct RowCount {
+    static constexpr std::uint64_t kStale = ~std::uint64_t{0};
+    std::uint64_t gen = kStale;
+    int expected = 0;     ///< workers the open round waits for
+    int expected_in = 0;  ///< of those, workers whose payload is complete
+    int full = 0;         ///< workers whose payload is complete
+  };
+
+  /// One server's exactly-once contribution ledger for one shard group's
+  /// slices, a row per slice (its rank in the group). Per-worker cells are
+  /// indexed [row * workers + w].
+  struct GroupLedger {
+    std::vector<RowCount> count;  ///< per row
+    /// Per row, three worker sets of mask_words() words each (row_sets()):
+    /// contributed its full payload to the open round, contributed part of
+    /// it, and expected when the row's counts were taken.
+    std::vector<std::uint64_t> sets;
+    /// Bytes of a partial contribution (meaningful while its `partial` bit
+    /// is set). Empty until a fragment first arrives on its own.
+    std::vector<Bytes> contrib;
+    /// The round from which w is *expected* (waited for); earlier rounds
+    /// complete without it. Empty until first written.
+    std::vector<std::int64_t> active_from;
+  };
+
   struct ServerState {
     explicit ServerState(sim::Simulator& sim) : rxq(sim) {}
     sim::PriorityQueue<RxItem> rxq;
     std::int64_t rx_seq = 0;
     std::int64_t rxq_depth = 0;          ///< items queued right now
     obs::Gauge* rxq_gauge = nullptr;     ///< registry view of rxq_depth
-    std::vector<Bytes> round_bytes;  // per slice; plain runs only
     std::vector<std::int64_t> version;         // per slice
     std::vector<std::vector<PendingPull>> pending;  // per slice
-    // Membership plane only:
-    /// Per-slice per-worker bytes contributed to the current round —
-    /// replaces the single `round_bytes` counter so completion can be
-    /// re-evaluated against the live expected set and re-pushes merge
-    /// exactly once (capped at the slice payload per worker per round).
-    std::vector<std::vector<Bytes>> contrib;
-    /// Per-slice per-worker round index from which the worker is *expected*
-    /// (waited for); earlier rounds complete without it.
-    std::vector<std::vector<std::int64_t>> active_from;
+    /// Per group; null until this server credits or expects workers on one
+    /// of the group's slices.
+    std::vector<std::unique_ptr<GroupLedger>> ledger;
     /// Node epoch at the last kSyncData receipt per slice (rehydration
-    /// completion tracking; -1 = never).
+    /// completion tracking; -1 = never). Sized only with the plane.
     std::vector<std::int64_t> sync_epoch;
   };
 
@@ -648,6 +676,10 @@ class Cluster {
   /// exist but no eligible worker can proceed (PROTOCOL.md inv. 13).
   sim::Task dssp_audit_loop();
 
+  /// Shard group (home server) of `slice`.
+  int group_of(std::int64_t slice) const {
+    return partition_.slices[static_cast<std::size_t>(slice)].server;
+  }
   /// Node hosting server `s` (== s when colocated, n_workers + s otherwise).
   int server_node(int server) const {
     return cfg_.dedicated_servers ? cfg_.n_workers + server : server;
@@ -677,7 +709,10 @@ class Cluster {
   void enqueue_pull(int w, std::int64_t slice, std::int64_t iteration);
   void worker_on_notify(int w, const net::Message& m);
   void worker_on_param(int w, const net::Message& m);
-  void send_params(int server, std::int64_t slice, int worker);
+  /// Post `slice`'s parameters to `worker`, or to a rack aggregator as
+  /// kRackParams.
+  void send_params(int server, std::int64_t slice, int worker,
+                   net::MsgKind kind = net::MsgKind::kParams);
   Bytes wire_payload(Bytes logical) const;
   int item_priority(std::int64_t slice) const;
   double jitter_factor(WorkerState& ws);
@@ -721,6 +756,9 @@ class Cluster {
   /// donor names the handover target.
   void announce_primary(int from_server, int group, std::int64_t epoch,
                         int primary);
+  /// A (re)joining worker's handshake at `server`: fresh parameters and a
+  /// bounded-staleness window for every slice the server leads.
+  void admit_worker(int server, int worker);
   /// Re-push every slice of `group` whose parameters have not returned to
   /// worker `w` yet; called after the node's leadership view moves.
   void worker_repush_group(int w, int group);
@@ -731,7 +769,6 @@ class Cluster {
   void maybe_pull_layer(int w, int layer);
   /// The node a worker should address for `slice` (its view's leader).
   int slice_dst_node(int worker, std::int64_t slice) const;
-  bool round_complete(int server, std::int64_t slice) const;
   void commit_round(int server, std::int64_t slice, std::int64_t round);
   void release_round(int server, std::int64_t slice, std::int64_t round);
   void on_replicate_ack(std::int64_t msg_id);
@@ -739,6 +776,72 @@ class Cluster {
   void redirect_to_leader(int server, const net::Message& m);
   Bytes replicated_state_bytes(int server) const;
   void mem_mark(int node, const char* label);
+
+  // --- exactly-once contribution ledger (docs/PROTOCOL.md) ---
+  /// `slice`'s group ledger at `server`, or null while it has none.
+  GroupLedger* ledger_of(int server, std::int64_t slice) const {
+    return servers_[static_cast<std::size_t>(server)]
+        ->ledger[static_cast<std::size_t>(group_of(slice))]
+        .get();
+  }
+  /// `slice`'s group ledger at `server`, created empty on first use.
+  GroupLedger& open_ledger(int server, std::int64_t slice);
+  /// Index of (`slice`'s row, `worker`) in its group ledger's cells.
+  std::size_t cell(std::int64_t slice, int worker) const {
+    return ledger_row_[static_cast<std::size_t>(slice)] *
+               static_cast<std::size_t>(n_total_workers()) +
+           static_cast<std::size_t>(worker);
+  }
+  std::size_t mask_words() const {
+    return (static_cast<std::size_t>(n_total_workers()) + 63) / 64;
+  }
+  /// Index of `slice`'s row in its group ledger's `sets`.
+  std::size_t row_sets(std::int64_t slice) const {
+    return ledger_row_[static_cast<std::size_t>(slice)] * 3 * mask_words();
+  }
+  /// Credit up to `bytes` of `worker`'s contribution to `slice`'s open round
+  /// at `server`, capped at one payload per worker per round, keeping the
+  /// row's counts; returns the bytes credited. Every credit goes through
+  /// here.
+  Bytes credit(int server, std::int64_t slice, int worker, Bytes bytes);
+  /// Credit push `m` for every worker it covers, into the ledger or, for a
+  /// DSSP push ahead of the shard's round, the future-round buffer. Feeds
+  /// the scale plane's push weights and consumes the cover; returns the
+  /// bytes credited (0 = a duplicate).
+  Bytes credit_push(int server, const net::Message& m);
+  /// Empty `slice`'s row at `server`: its round completed, fast-forwarded,
+  /// or died with the process or the leadership that held it.
+  void reset_round(int server, std::int64_t slice);
+  /// Completion's version step: empty the row and open the next round.
+  void next_round(int server, std::int64_t slice);
+  /// The round from which `server` expects `worker` in `slice`'s rounds.
+  std::int64_t active_from(int server, std::int64_t slice, int worker);
+  /// active_from before any write: base workers from round 0. A joiner is
+  /// never waited for until its join handshake opens a bounded-staleness
+  /// window (beacons alone must not add it to the expected set).
+  std::int64_t default_active_from(int worker) const {
+    return worker < cfg_.n_workers ? 0
+                                   : std::numeric_limits<std::int64_t>::max();
+  }
+  void expect_from(int server, std::int64_t slice, int worker,
+                   std::int64_t round);
+  /// Move `slice`'s version at `server` outside completion: a replica copy,
+  /// a delta sync, a migration, a fast-forward or a checkpoint restore.
+  void jump_version(int server, std::int64_t slice, std::int64_t version);
+  /// The counts of `slice`'s open round at `server`, taken by a scan, and,
+  /// when `mask` is given, the expected set as its row's mask words.
+  RowCount count_row(int server, std::int64_t slice,
+                     std::uint64_t* mask = nullptr);
+  /// Every worker `server` expects has contributed its full payload, and
+  /// somebody has (an empty round never completes): O(1) from the row's
+  /// counts, retaken first when stale. A count that reports completion, or
+  /// any count when `audit` is set, is checked against a scan, and a
+  /// disagreement throws std::logic_error.
+  bool round_complete(int server, std::int64_t slice, bool audit = false);
+  /// Answer a push for a round that already committed with current
+  /// parameters, to every worker it covers: the recovery path for rounds
+  /// that committed just before a failover or a rejoin.
+  void answer_stale_push(int server, const net::Message& m);
 
   // --- elastic scale-out + lease-based leadership ---
   void execute_join(const net::NodeJoin& j);
@@ -842,10 +945,6 @@ class Cluster {
   /// or leaving with its process); advances the gate and refreshes the
   /// clock-gap gauges.
   void dssp_set_clock(int w, std::int64_t clock);
-  /// Merge a push for a round the shard has not opened yet into the
-  /// future-round buffer (run-ahead under the staleness bound; promoted
-  /// into the live ledger as versions advance — park-never-drop).
-  void dssp_buffer_future(int server, const net::Message& m);
   /// Promote buffered contributions for `slice`'s newly opened round.
   void dssp_promote(int server, std::int64_t slice);
 
@@ -875,8 +974,8 @@ class Cluster {
   /// Aggregator re-broadcast of a kRackParams fragment to its rack members.
   void on_rack_params(int agg, const net::Message& m);
   /// Workers an incoming push credits: the cover of an aggregated push, or
-  /// the single originating worker.
-  std::vector<int> push_cover(const net::Message& m) const;
+  /// the single originating worker. Valid until consume_cover(m).
+  std::span<const int> push_cover(const net::Message& m) const;
   /// Retire `m.logical` bytes of the cover; erased once fully consumed.
   void consume_cover(const net::Message& m);
   /// Observer worker `w` saw its rack aggregator die: folds held there died
@@ -972,12 +1071,16 @@ class Cluster {
   static constexpr std::size_t kDedupGcThreshold = 4096;
   Rng rto_rng_{0};  ///< consumed only when rto_jitter > 0
 
-  // Membership plane (sized only when armed, except `node_state_`: every
-  // node stays up and joined unless the plane changes it).
+  // Membership plane (sized only when armed, except `node_state_` and the
+  // views: every node stays up and joined, and every view static, unless
+  // the plane changes them).
   bool membership_on_ = false;
   std::vector<NodeState> node_state_;
   std::vector<std::unique_ptr<Membership>> membership_;    // per node
   std::vector<std::unique_ptr<ShardLeadership>> leadership_;  // per node
+  /// Per slice: its row in its group's ledgers. Per group: its slice count.
+  std::vector<std::uint32_t> ledger_row_;
+  std::vector<std::uint32_t> group_rows_;
   std::unordered_map<std::int64_t, std::int64_t> replicate_wait_;  // msg->key
   std::unordered_map<std::int64_t, CommitState> commits_;  // key -> barrier
   std::vector<std::vector<std::int64_t>> ckpt_versions_;   // per server "disk"

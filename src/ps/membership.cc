@@ -41,7 +41,7 @@ Membership::BeaconEffect Membership::record_heartbeat(int node,
   effect.revived = p.joined && !p.alive;
   p.incarnation = incarnation;
   if (now > p.last_heard) p.last_heard = now;
-  p.alive = true;
+  set_alive(p, true);
   p.joined = true;
   return effect;
 }
@@ -53,7 +53,7 @@ std::vector<int> Membership::check(TimeS now) {
     Peer& p = peers_[static_cast<std::size_t>(node)];
     if (!p.alive) continue;
     if (now - p.last_heard > cfg_.suspicion_timeout) {
-      p.alive = false;
+      set_alive(p, false);
       newly_dead.push_back(node);
     }
   }
@@ -75,11 +75,12 @@ ShardLeadership::ShardLeadership(int n_groups, int replication,
   if (n_total_ < n_groups) {
     throw std::invalid_argument("total server count below the base ring");
   }
-  leases_.resize(static_cast<std::size_t>(n_groups));
-  lease_until_.assign(static_cast<std::size_t>(n_groups), 0.0);
+  primary_.resize(static_cast<std::size_t>(n_groups));
   for (int g = 0; g < n_groups; ++g) {
-    leases_[static_cast<std::size_t>(g)].primary = g;  // chain head leads
+    primary_[static_cast<std::size_t>(g)] = g;  // chain head leads
   }
+  epoch_.assign(static_cast<std::size_t>(n_groups), 0);
+  lease_until_.assign(static_cast<std::size_t>(n_groups), 0.0);
 }
 
 int ShardLeadership::member(int group, int k) const {
@@ -119,14 +120,14 @@ bool ShardLeadership::adopt(int group, std::int64_t epoch, int primary) {
       (primary - group + n_groups_) % n_groups_ >= replication_) {
     throw std::invalid_argument("adopted primary is not a group replica");
   }
-  Lease& cur = leases_[static_cast<std::size_t>(group)];
+  const auto g = static_cast<std::size_t>(group);
   const bool newer =
-      epoch > cur.epoch ||
-      (epoch == cur.epoch &&
-       succession_rank(group, primary) > succession_rank(group, cur.primary));
+      epoch > epoch_[g] ||
+      (epoch == epoch_[g] &&
+       succession_rank(group, primary) > succession_rank(group, primary_[g]));
   if (!newer) return false;
-  cur.epoch = epoch;
-  cur.primary = primary;
+  epoch_[g] = epoch;
+  primary_[g] = primary;
   return true;
 }
 

@@ -20,8 +20,8 @@
 // deterministically resolve toward the later chain offset.
 //
 // Everything here is plain state driven by the simulator clock — no events
-// are scheduled and no randomness is consumed, so membership adds zero
-// perturbation to runs that never enable it.
+// are scheduled and no randomness is consumed. ps::Cluster gives every node
+// both views; without the membership plane nothing moves them.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +81,7 @@ class Membership {
     for (Peer& p : peers_) {
       if (!p.joined) continue;
       p.last_heard = now;
-      p.alive = true;
+      set_alive(p, true);
     }
   }
 
@@ -90,14 +90,14 @@ class Membership {
   void mark_unjoined(int node) {
     Peer& p = peers_[static_cast<std::size_t>(node)];
     p.joined = false;
-    p.alive = false;
+    set_alive(p, false);
   }
   /// Admit a member directly (ground-truth bootstrap of a joiner's own
   /// fresh view; everyone else learns from beacons).
   void mark_joined(int node, TimeS now) {
     Peer& p = peers_[static_cast<std::size_t>(node)];
     p.joined = true;
-    p.alive = true;
+    set_alive(p, true);
     if (now > p.last_heard) p.last_heard = now;
   }
   bool joined(int node) const {
@@ -107,6 +107,9 @@ class Membership {
   bool alive(int node) const {
     return peers_[static_cast<std::size_t>(node)].alive;
   }
+  /// Bumps on every alive/dead flip of any peer, so a reader can tell in
+  /// O(1) whether a set it derived from this view may have changed.
+  std::uint64_t generation() const { return generation_; }
   std::int64_t incarnation(int node) const {
     return peers_[static_cast<std::size_t>(node)].incarnation;
   }
@@ -123,9 +126,16 @@ class Membership {
     bool joined = true;  ///< false until an elastic joiner's first beacon
   };
 
+  void set_alive(Peer& p, bool alive) {
+    if (p.alive == alive) return;
+    p.alive = alive;
+    ++generation_;
+  }
+
   MembershipConfig cfg_;
   int self_ = -1;
   std::vector<Peer> peers_;
+  std::uint64_t generation_ = 0;
 };
 
 /// One node's view of who currently leads each shard group.
@@ -157,11 +167,13 @@ class ShardLeadership {
   int n_servers_total() const { return n_total_; }
   int replication() const { return replication_; }
 
-  const Lease& lease(int group) const {
-    return leases_[static_cast<std::size_t>(group)];
+  Lease lease(int group) const { return {epoch(group), primary(group)}; }
+  int primary(int group) const {
+    return primary_[static_cast<std::size_t>(group)];
   }
-  int primary(int group) const { return lease(group).primary; }
-  std::int64_t epoch(int group) const { return lease(group).epoch; }
+  std::int64_t epoch(int group) const {
+    return epoch_[static_cast<std::size_t>(group)];
+  }
 
   /// Position of `server` in group `g`'s *current* chain (0 = primary-side
   /// head), or -1 if the server does not replicate the group right now.
@@ -202,7 +214,10 @@ class ShardLeadership {
   int n_groups_ = 0;
   int n_total_ = 0;
   int replication_ = 1;
-  std::vector<Lease> leases_;
+  // Primaries apart from epochs: every push is routed through its sender's
+  // view, so they stay packed.
+  std::vector<int> primary_;
+  std::vector<std::int64_t> epoch_;
   std::vector<TimeS> lease_until_;
 };
 

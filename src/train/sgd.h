@@ -15,7 +15,7 @@ struct SgdConfig {
   bool nesterov = false;
   double weight_decay = 0.0;
   /// Learning rate is multiplied by `decay_factor` at each epoch listed.
-  std::vector<int> decay_epochs;
+  std::vector<int> decay_epochs{};
   double decay_factor = 0.1;
 };
 

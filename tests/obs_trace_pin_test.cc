@@ -5,13 +5,19 @@
 // expected values below are the recorder's and the engine's exact output, so
 // any change to id assignment, first-use order, event content or the walk
 // fails here, not just changes the 4-decimal CSVs. A tracer that is cleared
-// and reused must record exactly what a fresh one records.
+// and reused must record exactly what a fresh one records, and every server
+// update span starts where the push that completed its round began.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "model/zoo.h"
 #include "obs/critpath.h"
@@ -237,7 +243,7 @@ constexpr Pin kRackChaos = {27504,
                             89,
                             98,
                             3700,
-                            0x84601bdb1b13745fULL,
+                            0xa4710750fd6b528dULL,
                             0xe78f4b3031f444d5ULL,
                             0x2bfb41e251ec6cbbULL,
                             0x779a97927dd7bfa8ULL};
@@ -248,15 +254,65 @@ TEST(TracePin, FlatBaseline) {
 
 TEST(TracePin, FlatP3) { expect_pin(record(flat(SyncMethod::kP3)), kFlatP3); }
 
+bool ends_with(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
 bool has_track(const Tracer& t, const std::string& suffix) {
   for (const Track& track : t.tracks()) {
-    if (track.name.size() >= suffix.size() &&
-        track.name.compare(track.name.size() - suffix.size(), suffix.size(),
-                           suffix) == 0) {
-      return true;
-    }
+    if (ends_with(track.name, suffix)) return true;
   }
   return false;
+}
+
+/// Runs `c` to quiescence and checks that every update ("U") span on a
+/// server lane starts at the kServerRecv time of the last push credited to
+/// its round: the push whose aggregation completed the round. Fault-free,
+/// so each slice's home server leads it and every push is credited.
+void expect_update_spans_from_last_push(const Case& c) {
+  Tracer tracer;
+  ps::Cluster cluster(workload(), c.cfg);
+  cluster.attach_tracer(&tracer);
+  cluster.run(c.warmup, c.measured);
+  cluster.drain();
+  using Start = std::tuple<std::string, std::string, double>;
+  std::vector<Start> spans;
+  for (const Event& e : tracer.events()) {
+    const std::string& lane = tracer.tracks()[e.track].name;
+    const std::string& label = tracer.labels()[e.label];
+    if (e.kind == EventKind::kSpan && ends_with(lane, ".srv") &&
+        label[0] == 'U') {
+      spans.emplace_back(lane, label, e.t0);
+    }
+  }
+  std::map<std::pair<std::int32_t, std::int64_t>, double> last_push;
+  for (const LifecycleRecord& r : tracer.lifecycle_records()) {
+    if (r.stage != Stage::kServerRecv) continue;
+    const auto [it, fresh] = last_push.try_emplace({r.slice, r.iteration}, r.t);
+    if (!fresh) it->second = std::max(it->second, r.t);
+  }
+  std::vector<Start> rounds;
+  for (const auto& [round, t] : last_push) {
+    const auto& sl =
+        cluster.partition().slices[static_cast<std::size_t>(round.first)];
+    rounds.emplace_back("n" + std::to_string(sl.server) + ".srv",
+                        "U" + std::to_string(sl.layer + 1), t);
+  }
+  std::sort(spans.begin(), spans.end());
+  std::sort(rounds.begin(), rounds.end());
+  EXPECT_FALSE(spans.empty());
+  EXPECT_EQ(spans, rounds);
+}
+
+TEST(TracePin, UpdateSpanStartsAtLastCreditedPush) {
+  expect_update_spans_from_last_push(flat(SyncMethod::kP3));
+}
+
+TEST(TracePin, UpdateSpanStartsAtLastCreditedPushWithReplicas) {
+  Case c = flat(SyncMethod::kP3);
+  c.cfg.replication = 2;  // arms the membership plane; no faults
+  expect_update_spans_from_last_push(c);
 }
 
 TEST(TracePin, RackChaos) {

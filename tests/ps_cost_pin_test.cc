@@ -3,9 +3,12 @@
 // outputs of one small point per workload shape the benchmark runs (a flat
 // ResNet-50 fabric under Baseline and P3, sliced VGG-19 on four workers, and
 // two racks behind an oversubscribed ToR with rack aggregation, replicas,
-// wire loss and a healing cut). A speed-up of the event core, the network or
-// the protocol must keep every value here exact; a change that adds or drops
-// events fails CI even when the outputs happen to survive it.
+// wire loss and a healing cut), plus three small membership-plane runs that
+// move the set of workers a server waits for (a crash and restart under
+// suspicion failover, an elastic join then a planned leave, and DSSP with a
+// crash). A speed-up of the event core, the network or the protocol must
+// keep every value here exact; a change that adds or drops events fails CI
+// even when the outputs happen to survive it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +16,7 @@
 #include <string>
 
 #include "model/compute.h"
+#include "model/zoo.h"
 #include "ps/cluster.h"
 
 namespace p3::ps {
@@ -101,9 +105,78 @@ Case rack_chaos() {
   return c;
 }
 
-Cost measure(const Case& c) {
+model::Workload toy() {
+  model::Workload w;
+  w.model = model::toy_uniform(4, 120'000);
+  w.batch_per_worker = 4;
+  w.iter_compute_time = 0.020;
+  return w;
+}
+
+/// The membership plane in small: toy layers of three slices, 1 Gbps,
+/// R = 2 replicas, 5 ms beacons and a 25 ms suspicion threshold.
+Case plane(int workers, SyncMethod method) {
+  Case c;
+  c.build = toy;
+  c.cfg = seeded();
+  c.cfg.n_workers = workers;
+  c.cfg.method = method;
+  c.cfg.bandwidth = gbps(1);
+  c.cfg.slice_params = 50'000;
+  c.cfg.replication = 2;
+  c.cfg.heartbeat_period = ms(5);
+  c.cfg.suspicion_timeout = ms(25);
+  c.cfg.max_sim_time = 60.0;
+  return c;
+}
+
+/// Eight workers under suspicion failover: node 2 crashes and restarts, so
+/// its groups fail over, survivors' re-pushes of committed rounds draw
+/// stale-push replies, its revival widens the primaries' views again, its
+/// worker rejoins under the bounded-staleness window and its server
+/// rehydrates from a checkpoint plus a kSyncData delta.
+Case failover_restart() {
+  Case c = plane(8, SyncMethod::kP3);
+  c.cfg.checkpoint_period = 0.05;
+  c.cfg.faults.crashes.push_back({2, 0.06, 0.1});
+  c.measured = 8;
+  return c;
+}
+
+/// Node 4 joins and takes groups over kMigrate, then node 1 drains its
+/// groups out and retires.
+Case join_then_leave() {
+  Case c = plane(4, SyncMethod::kBaseline);
+  c.cfg.faults.joins.push_back({4, 0.05});
+  c.cfg.faults.leaves.push_back({1, 0.3});
+  c.measured = 7;
+  return c;
+}
+
+/// DSSP at a fixed bound of 1 behind a slow straggler, so fast workers'
+/// pushes run ahead into the future-round buffer until the gate holds them.
+/// Node 3 crashes and restarts inside the suspicion window: nobody fails
+/// over, so its server rehydrates from its stale checkpoint and
+/// fast-forwards to the floor the workers' pushes carry.
+Case dssp_crash() {
+  Case c = plane(4, SyncMethod::kDSSP);
+  c.cfg.staleness.fixed_s = 1;
+  c.cfg.compute_jitter = 0.2;
+  net::Degradation slow;
+  slow.node = 2;
+  slow.end = 10.0;
+  slow.bandwidth_factor = 0.15;
+  slow.extra_latency = us(200);
+  c.cfg.faults.degradations.push_back(slow);
+  c.cfg.faults.crashes.push_back({3, 0.05, 0.01});
+  c.measured = 7;
+  return c;
+}
+
+Cost measure(const Case& c, RunResult* result = nullptr) {
   Cluster cluster(c.build(), c.cfg);
   const RunResult r = cluster.run(c.warmup, c.measured);
+  if (result != nullptr) *result = r;
   EXPECT_EQ(r.iterations_measured, c.measured);
   Cost cost;
   cost.run_events = cluster.simulator().events_executed();
@@ -209,6 +282,43 @@ constexpr Cost kRackChaos = {556446,
                              9550110304,
                              9726671840};
 
+constexpr Cost kFailoverRestart = {29936,
+                                   31006,
+                                   11839,
+                                   11639,
+                                   200,
+                                   0,
+                                   0x1.657fda23fbde9p+8,
+                                   0x1.66f070fc89356p-4,
+                                   0x1.732599b97d028p-1,
+                                   0x1.0e8f8210f8c8dp-4,
+                                   283342272,
+                                   296962496};
+constexpr Cost kJoinThenLeave = {7283,
+                                 7449,
+                                 2780,
+                                 2780,
+                                 0,
+                                 0,
+                                 0x1.6ee92f7dea9bap+7,
+                                 0x1.7a40d02894609p-4,
+                                 0x1.5924eb2d1b52cp-1,
+                                 0x1.22aa40738f94dp-4,
+                                 155138240,
+                                 157673984};
+constexpr Cost kDsspCrash = {15734,
+                             16621,
+                             5788,
+                             5778,
+                             10,
+                             0,
+                             0x1.90fc86cac8b91p+6,
+                             0x1.5bfbbe24fe96ep-3,
+                             0x1.3815536ef76d7p+0,
+                             0x1.15f66c67c82c4p-3,
+                             167334016,
+                             197591808};
+
 TEST(CostPin, FlatResNetBaseline) {
   expect_cost(measure(flat_resnet(SyncMethod::kBaseline)), kFlatBaseline);
 }
@@ -225,6 +335,38 @@ TEST(CostPin, RackChaos) {
   EXPECT_GT(cost.dropped, cost.partition_drops);
   EXPECT_GT(cost.partition_drops, 0);
   expect_cost(cost, kRackChaos);
+}
+
+TEST(CostPin, FailoverRestart) {
+  RunResult r;
+  const Cost cost = measure(failover_restart(), &r);
+  EXPECT_EQ(r.crashes, 1);
+  EXPECT_EQ(r.restarts, 1);
+  EXPECT_GT(r.failovers, 0);
+  EXPECT_GT(r.stale_pushes, 0);
+  EXPECT_EQ(r.worker_rejoins, 1);
+  EXPECT_EQ(r.rehydrations, 1);
+  EXPECT_GT(r.rehydration_bytes, 0);
+  expect_cost(cost, kFailoverRestart);
+}
+
+TEST(CostPin, JoinThenLeave) {
+  RunResult r;
+  const Cost cost = measure(join_then_leave(), &r);
+  EXPECT_EQ(r.joins, 1);
+  EXPECT_GT(r.migrations, 1);
+  EXPECT_EQ(r.drains_completed, 1);
+  expect_cost(cost, kJoinThenLeave);
+}
+
+TEST(CostPin, DsspCrash) {
+  RunResult r;
+  const Cost cost = measure(dssp_crash(), &r);
+  EXPECT_EQ(r.crashes, 1);
+  EXPECT_EQ(r.worker_rejoins, 1);
+  EXPECT_GT(r.dssp_gate_blocks, 0);
+  EXPECT_EQ(r.staleness_violations, 0);
+  expect_cost(cost, kDsspCrash);
 }
 
 }  // namespace

@@ -216,6 +216,34 @@ TEST(CrashRecovery, RepushesNeverDoubleApply) {
 }
 
 // ---------------------------------------------------------------------------
+// A worker restart opens a bounded-staleness window at every primary. Later
+// a dedicated server crashes and restarts within the suspicion timeout and
+// rehydrates from its (empty) checkpoint while pushes keep arriving, so its
+// slice versions jump outside round completion: down to the checkpoint, up
+// by fast-forward and replica copies. Each jump can move the open round
+// across the rejoined worker's window; the server must re-derive whom its
+// rounds wait for, and every round still applies exactly once.
+// ---------------------------------------------------------------------------
+
+TEST(CrashRecovery, QuickServerRestartAfterRejoinAppliesOnce) {
+  for (const TimeS at : {0.197, 0.204, 0.211, 0.225}) {
+    ClusterConfig cfg = crash_config(SyncMethod::kBaseline);
+    cfg.dedicated_servers = true;
+    cfg.faults.crashes.push_back({2, 0.03, 0.04});  // worker 2 rejoins
+    cfg.faults.crashes.push_back({5, at, 0.01});    // server 1, briefly
+
+    Cluster cluster(small_workload(), cfg);
+    const int iterations = 9;
+    const auto result = cluster.run(1, iterations - 1);
+    cluster.drain();
+
+    EXPECT_EQ(result.restarts, 2) << "crash at " << at;
+    EXPECT_EQ(result.worker_rejoins, 1) << "crash at " << at;
+    expect_recovered(cluster, 4, iterations, {0, 1, 2, 3});
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Determinism: the same seeded crash run is bit-identical whether the sweep
 // executes on 1, 2 or 4 runner threads (each point owns its simulator).
 // ---------------------------------------------------------------------------

@@ -49,6 +49,25 @@ TEST(Membership, BeaconRevivesSuspect) {
   EXPECT_TRUE(view.alive(2));
 }
 
+TEST(Membership, GenerationBumpsOnEveryLivenessFlipOnly) {
+  Membership view(detector_config(), 0);
+  const std::uint64_t g0 = view.generation();
+  view.record_heartbeat(1, 0, 0.010);  // already alive: no flip
+  view.mark_joined(2, 0.010);
+  view.reset(0.010);
+  EXPECT_EQ(view.generation(), g0);
+  view.check(0.040);  // peers 1, 2 and 3 go silent
+  EXPECT_EQ(view.generation(), g0 + 3);
+  view.record_heartbeat(2, 0, 0.041);  // one revival
+  EXPECT_EQ(view.generation(), g0 + 4);
+  view.mark_unjoined(2);  // alive -> dead
+  view.mark_unjoined(3);  // already dead
+  EXPECT_EQ(view.generation(), g0 + 5);
+  view.reset(0.050);  // revives peer 1, the only dead member
+  EXPECT_TRUE(view.alive(1));
+  EXPECT_EQ(view.generation(), g0 + 6);
+}
+
 TEST(Membership, GhostBeaconFromOlderIncarnationIgnored) {
   Membership view(detector_config(), 0);
   view.record_heartbeat(1, 3, 0.010);  // restarted peer, incarnation 3
