@@ -280,9 +280,23 @@ Cluster::Cluster(model::Workload workload, ClusterConfig config)
   // go wrong; a fault-free run posts the pre-reliability event sequence bit
   // for bit.
   reliable_ = cfg_.faults.active();
-  seen_.resize(static_cast<std::size_t>(total_nodes()));
-  dedup_floor_.assign(static_cast<std::size_t>(total_nodes()), 0);
-  rto_rng_ = Rng(cfg_.seed ^ 0x9e3779b97f4a7c15ULL);
+  transport_ = std::make_unique<Transport>(
+      sim_, *net_, total_nodes(),
+      Transport::Config{.min_rto = cfg_.min_rto,
+                        .rto_backoff = cfg_.rto_backoff,
+                        .max_rto = cfg_.max_rto,
+                        .rto_jitter = cfg_.rto_jitter,
+                        .latency = cfg_.latency,
+                        .bandwidth = cfg_.bandwidth,
+                        .n_workers = cfg_.n_workers,
+                        .seed = cfg_.seed},
+      Transport::Counters{acks_sent_, retransmits_, timeouts_fired_,
+                          duplicates_suppressed_},
+      Transport::Hooks{
+          [this](std::int64_t id, const PendingSend& send) {
+            requeue_retransmit(id, send);
+          },
+          [this](const net::Message& m) { retransmit_span(m); }});
 
   // The membership plane (heartbeats, replication, failover, rejoin) arms
   // exactly when a crash is planned or shards are replicated — otherwise
@@ -535,17 +549,6 @@ double Cluster::jitter_factor(WorkerState& ws) {
   return std::max(0.2, ws.rng.normal(1.0, cfg_.compute_jitter));
 }
 
-TimeS Cluster::initial_rto(const net::Message& m) const {
-  // Generous floor: a round trip plus one full serialization of this
-  // message per incast participant (n pushes can queue ahead of it at the
-  // server's RX channel). A spurious timeout is safe — dedup makes
-  // retransmission idempotent — but wastes wire bytes, so err high and let
-  // exponential backoff absorb real congestion.
-  return cfg_.min_rto + 2.0 * cfg_.latency +
-         static_cast<double>(cfg_.n_workers + 2) *
-             transfer_time(m.bytes, cfg_.bandwidth);
-}
-
 bool Cluster::reachable(int node) const {
   const auto& ns = node_state_[static_cast<std::size_t>(node)];
   if (ns.up) return true;
@@ -566,118 +569,38 @@ bool Cluster::permanently_down(int node) const {
   return true;
 }
 
-void Cluster::arm_reliable(net::Message& m, int via_worker) {
-  m.msg_id = next_msg_id_++;
-  PendingTx pending;
-  pending.msg = m;
-  pending.rto = initial_rto(m);
-  pending.via_worker = via_worker;
-  pending_tx_.emplace(m.msg_id, std::move(pending));
-}
-
-void Cluster::schedule_retx_timer(std::int64_t msg_id, TimeS delay) {
-  if (cfg_.rto_jitter > 0.0) {
-    delay += delay * cfg_.rto_jitter * rto_rng_.uniform();
-  }
-  sim_.schedule(delay, [this, msg_id] { on_retx_timeout(msg_id); });
-}
-
-void Cluster::on_retx_timeout(std::int64_t msg_id) {
-  const auto it = pending_tx_.find(msg_id);
-  if (it == pending_tx_.end()) return;  // acked; the timer is a no-op
-  ++timeouts_fired_;
-  PendingTx& pending = it->second;
-  // Exponential backoff to a bounded ceiling: a node down for seconds keeps
-  // being probed at max_rto rate instead of the timer doubling away.
-  pending.rto = std::min(pending.rto * cfg_.rto_backoff, cfg_.max_rto);
-  if (pending.via_worker >= 0) {
-    if (pending.queued) return;  // defensive: already awaiting the sender
-    pending.queued = true;
-    auto& ws = *workers_[static_cast<std::size_t>(pending.via_worker)];
-    SendItem item;
-    item.slice = pending.msg.slice;
-    item.kind = pending.msg.kind;
-    item.iteration = pending.msg.iteration;
-    item.priority = pending.msg.priority;
-    item.seq = ws.send_seq++;
-    item.retx_id = msg_id;
-    ws.sendq.push(item);
-    sendq_depth_changed(pending.via_worker, +1);
-    if (tracing()) {
-      lc(obs::Stage::kEnqueue, pending.via_worker, pending.msg.slice,
-         pending.msg.iteration, pending.msg.logical);
-    }
-    // No timer while queued; the sender arms one when the copy hits the
-    // wire, so send-queue backlog never counts against the RTO.
-  } else {
-    ++retransmits_;
-    if (tracing()) {
-      tracer_->span(hot_lane(*tracer_, HotLane::kRtx, pending.msg.src),
-                    sim_.now(), sim_.now(),
-                    net::message_label_id(*tracer_, pending.msg,
-                                          net::LabelMark::kRetransmit));
-    }
-    net_->post(pending.msg);
-    schedule_retx_timer(msg_id, pending.rto);
+void Cluster::requeue_retransmit(std::int64_t msg_id,
+                                 const PendingSend& send) {
+  // The copy competes in the priority queue at the original slice priority,
+  // so urgent traffic still preempts it under loss.
+  const int w = send.via_worker;
+  const Bytes logical = send.msg.logical;
+  auto& ws = *workers_[static_cast<std::size_t>(w)];
+  SendItem item;
+  item.slice = send.msg.slice;
+  item.kind = send.msg.kind;
+  item.iteration = send.msg.iteration;
+  item.priority = send.msg.priority;
+  item.seq = ws.send_seq++;
+  item.retx_id = msg_id;
+  ws.sendq.push(item);
+  sendq_depth_changed(w, +1);
+  if (tracing()) {
+    lc(obs::Stage::kEnqueue, w, item.slice, item.iteration, logical);
   }
 }
 
-bool Cluster::accept_reliable(int node, const net::Message& m) {
-  // The sender decides: only tracked messages carry a msg_id, and every
-  // tracked message must be acked — commit_round arms kReplicate copies
-  // even when the loss-recovery layer itself is disarmed (fault-free runs
-  // with replication > 1 still need the commit barrier to come down).
-  if (m.msg_id < 0) return true;
-  // Always ack, even duplicates: the previous ack may itself have been
-  // dropped, and the sender keeps retransmitting until one gets through.
-  net::Message ack;
-  ack.src = node;
-  ack.dst = m.src;
-  ack.kind = net::MsgKind::kAck;
-  ack.slice = m.slice;
-  ack.layer = m.layer;
-  ack.worker = m.worker;
-  ack.msg_id = m.msg_id;
-  ack.bytes = net::kAckBytes;
-  net_->post(ack);
-  ++acks_sent_;
-  if (m.msg_id < dedup_floor_[static_cast<std::size_t>(node)]) {
-    // Below the watermark: the id was GC'd from the table, which is only
-    // possible once no sender can retransmit it — any copy is a duplicate.
-    ++duplicates_suppressed_;
-    return false;
-  }
-  if (!seen_[static_cast<std::size_t>(node)].insert(m.msg_id).second) {
-    ++duplicates_suppressed_;
-    return false;
-  }
-  maybe_gc_dedup(node);
-  return true;
-}
-
-void Cluster::maybe_gc_dedup(int node) {
-  auto& seen = seen_[static_cast<std::size_t>(node)];
-  if (seen.size() < kDedupGcThreshold) return;
-  // Every id below the oldest still-pending send is final: its sender either
-  // got the ack or gave up for good, so no copy of it can ever be posted
-  // again. Anything still retransmitting pins the floor.
-  std::int64_t floor = next_msg_id_;
-  for (const auto& [id, tx] : pending_tx_) floor = std::min(floor, id);
-  auto& mark = dedup_floor_[static_cast<std::size_t>(node)];
-  if (floor <= mark) return;
-  mark = floor;
-  for (auto it = seen.begin(); it != seen.end();) {
-    it = *it < floor ? seen.erase(it) : std::next(it);
-  }
+void Cluster::retransmit_span(const net::Message& m) {
+  if (!tracing()) return;
+  tracer_->span(
+      hot_lane(*tracer_, HotLane::kRtx, m.src), sim_.now(), sim_.now(),
+      net::message_label_id(*tracer_, m, net::LabelMark::kRetransmit));
 }
 
 void Cluster::post_tracked(net::Message m) {
   if (!reachable(m.dst)) return;  // nobody to deliver to
   if (reliable_ && m.src != m.dst) {
-    arm_reliable(m, -1);
-    const TimeS rto = pending_tx_.at(m.msg_id).rto;
-    net_->post(m);
-    schedule_retx_timer(m.msg_id, rto);
+    transport_->send(m);
   } else {
     net_->post(m);
   }
@@ -855,12 +778,12 @@ sim::Task Cluster::worker_sender(int w) {
     if (item.retx_id >= 0) {
       // Retransmission: it competed in the priority queue at the original
       // slice priority, so urgent traffic still preempts it under loss.
-      auto it = pending_tx_.find(item.retx_id);
-      if (it == pending_tx_.end()) continue;  // acked while queued
-      if (partition_plane_ && it->second.msg.dst != w &&
-          membership_[wn]->joined(it->second.msg.dst) &&
-          !membership_[wn]->alive(it->second.msg.dst) &&
-          reachable(it->second.msg.dst)) {
+      PendingSend* send = transport_->find(item.retx_id);
+      if (send == nullptr) continue;  // acked while queued
+      if (partition_plane_ && send->msg.dst != w &&
+          membership_[wn]->joined(send->msg.dst) &&
+          !membership_[wn]->alive(send->msg.dst) &&
+          reachable(send->msg.dst)) {
         // Degraded mode: the destination is dead in this worker's view but
         // will be back (partition heal / restart) — park the copy instead
         // of burning wire on a severed link. `queued` stays set, so the
@@ -872,22 +795,14 @@ sim::Task Cluster::worker_sender(int w) {
         ++parked_pushes_;
         continue;
       }
-      it->second.queued = false;
-      const net::Message m = it->second.msg;
+      send->queued = false;
+      const net::Message m = send->msg;
       ++retransmits_;
-      if (tracing()) {
-        tracer_->span(
-            hot_lane(*tracer_, HotLane::kRtx, m.src), sim_.now(), sim_.now(),
-            net::message_label_id(*tracer_, m, net::LabelMark::kRetransmit));
-      }
+      retransmit_span(m);
       if (cfg_.send_overhead > 0.0) co_await sim_.sleep(cfg_.send_overhead);
       if (tracing()) lc(obs::Stage::kSend, w, m.slice, m.iteration, m.bytes);
       co_await net_->send(m);
-      // Only re-arm the timer if the ack didn't land mid-send.
-      const auto it2 = pending_tx_.find(item.retx_id);
-      if (it2 != pending_tx_.end()) {
-        schedule_retx_timer(item.retx_id, it2->second.rto);
-      }
+      transport_->arm(item.retx_id);  // unless the ack landed mid-send
       continue;
     }
     if (shed_active_ && should_shed(item)) {
@@ -955,7 +870,7 @@ sim::Task Cluster::worker_sender(int w) {
       continue;
     }
     if (!reachable(m.dst)) continue;
-    if (reliable_ && m.src != m.dst) arm_reliable(m, w);
+    if (reliable_ && m.src != m.dst) transport_->track(m, w);
     ++pushes_sent_;
     // Per-message CPU cost on the sender thread, then a blocking send: the
     // consumer only dequeues the next (highest priority) item once this
@@ -965,20 +880,24 @@ sim::Task Cluster::worker_sender(int w) {
       lc(obs::Stage::kSend, w, item.slice, item.iteration, m.bytes);
     }
     co_await net_->send(m);
-    if (m.msg_id >= 0) {
-      const auto it = pending_tx_.find(m.msg_id);
-      if (it != pending_tx_.end()) {
-        schedule_retx_timer(m.msg_id, it->second.rto);
-      }
-    }
+    if (m.msg_id >= 0) transport_->arm(m.msg_id);
   }
 }
 
-void Cluster::on_replicate_ack(std::int64_t msg_id) {
-  const auto it = replicate_wait_.find(msg_id);
-  if (it == replicate_wait_.end()) return;
-  const std::int64_t key = it->second;
-  replicate_wait_.erase(it);
+void Cluster::resolve_wait(const AckWait& wait) {
+  switch (wait.kind) {
+    case AckWait::Kind::kNone:
+      break;
+    case AckWait::Kind::kReplicate:
+      replicate_acked(wait.key);
+      break;
+    case AckWait::Kind::kMigration:
+      migrate_acked(static_cast<int>(wait.key));
+      break;
+  }
+}
+
+void Cluster::replicate_acked(std::int64_t key) {
   const auto cit = commits_.find(key);
   if (cit == commits_.end()) return;
   CommitState& cs = cit->second;
@@ -1001,11 +920,9 @@ sim::Task Cluster::node_demux(int n) {
     const net::Message& m = *delivered;
     if (m.kind == net::MsgKind::kAck) {
       // Delivery confirmed: retire the sender-side retransmission state
-      // (any outstanding timer becomes a no-op) and any commit barrier or
+      // (its timer is discarded without firing) and any commit barrier or
       // migration waiting on it.
-      pending_tx_.erase(m.msg_id);
-      on_replicate_ack(m.msg_id);
-      on_migrate_ack(m.msg_id);
+      resolve_wait(transport_->ack(m.msg_id));
       continue;
     }
     if (m.kind == net::MsgKind::kHeartbeat) {
@@ -1031,7 +948,7 @@ sim::Task Cluster::node_demux(int n) {
       continue;
     }
     if (m.kind != net::MsgKind::kBackground) {
-      if (!accept_reliable(n, m)) continue;  // duplicate suppressed
+      if (!transport_->accept(n, m)) continue;  // duplicate suppressed
       goodput_bytes_ += m.bytes;
     }
     switch (m.kind) {
@@ -1216,7 +1133,7 @@ void Cluster::worker_repush_group(int w, int group) {
   if (!node_state_[static_cast<std::size_t>(w)].up) return;
   if (partition_plane_) {
     // Parked fresh pushes for this group are superseded by the re-push
-    // below (parked retransmissions keep their pending_tx state and drain
+    // below (parked retransmissions stay pending in the transport and drain
     // through the ordinary unpark path, where the old primary redirects or
     // stale-push-replies them).
     auto& lot = parked_[static_cast<std::size_t>(w)];
@@ -1845,11 +1762,7 @@ void Cluster::commit_round(int server, std::int64_t slice,
     m.version = ss.version[si];
     m.logical = sl.payload_bytes();
     m.bytes = wire_payload(sl.payload_bytes()) + net::kHeaderBytes;
-    arm_reliable(m, -1);
-    replicate_wait_.emplace(m.msg_id, key);
-    const TimeS rto = pending_tx_.at(m.msg_id).rto;
-    net_->post(m);
-    schedule_retx_timer(m.msg_id, rto);
+    transport_->send(m, {AckWait::Kind::kReplicate, key});
     ++sent;
   }
   if (sent == 0) {
@@ -2486,11 +2399,7 @@ void Cluster::start_migration(int donor, int group, int target) {
     m.version = ss.version[si];
     m.logical = 2 * sl.payload_bytes();  // params + optimizer state
     m.bytes = wire_payload(2 * sl.payload_bytes()) + net::kHeaderBytes;
-    arm_reliable(m, -1);
-    migration_wait_.emplace(m.msg_id, group);
-    const TimeS rto = pending_tx_.at(m.msg_id).rto;
-    net_->post(m);
-    schedule_retx_timer(m.msg_id, rto);
+    transport_->send(m, {AckWait::Kind::kMigration, group});
     ++ms.outstanding;
   }
   if (ms.outstanding == 0) {
@@ -2505,11 +2414,7 @@ void Cluster::start_migration(int donor, int group, int target) {
   migrations_in_progress_.emplace(group, ms);
 }
 
-void Cluster::on_migrate_ack(std::int64_t msg_id) {
-  const auto it = migration_wait_.find(msg_id);
-  if (it == migration_wait_.end()) return;
-  const int group = it->second;
-  migration_wait_.erase(it);
+void Cluster::migrate_acked(int group) {
   const auto mit = migrations_in_progress_.find(group);
   if (mit == migrations_in_progress_.end()) return;
   MigrationState& ms = mit->second;
@@ -3029,7 +2934,6 @@ void Cluster::execute_crash(const net::NodeCrash& c) {
 void Cluster::teardown_process_state(int node) {
   const auto nn = static_cast<std::size_t>(node);
   // All in-memory state dies with the process.
-  seen_[nn].clear();
   while (net_->inbox(node).try_pop()) {
   }
   if (!cfg_.dedicated_servers || node < cfg_.n_workers) {
@@ -3084,43 +2988,24 @@ void Cluster::teardown_process_state(int node) {
   // In-flight migrations die with the donor's process, and with a target
   // that will never return (a restarting target is bridged by
   // retransmission: its dedup memory clears with the crash, so re-applied
-  // copies ack and the handover completes). This must run before the
-  // generic pending_tx_ sweep below so a dead donor's timers cannot
-  // complete a handover the donor no longer remembers.
-  for (auto it = migrations_in_progress_.begin();
-       it != migrations_in_progress_.end();) {
-    const MigrationState& ms = it->second;
-    const bool donor_died = server_node(ms.donor) == node;
-    const bool target_gone =
-        server_node(ms.target) == node && permanently_down(node);
-    if (donor_died || target_gone) {
-      for (auto w = migration_wait_.begin(); w != migration_wait_.end();) {
-        if (w->second == it->first) {
-          pending_tx_.erase(w->first);
-          w = migration_wait_.erase(w);
-        } else {
-          ++w;
-        }
-      }
-      it = migrations_in_progress_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // copies ack and the handover completes). Their sends are exactly the
+  // kMigrate copies the transport drops below (donor -> target), so no
+  // dropped copy can complete a handover the donor no longer remembers.
+  const bool forever = permanently_down(node);
+  std::erase_if(migrations_in_progress_, [&](const auto& entry) {
+    const MigrationState& ms = entry.second;
+    return server_node(ms.donor) == node ||
+           (forever && server_node(ms.target) == node);
+  });
   // The dead process no longer retransmits anything it sent, and — when it
   // will never return — nothing addressed to it can ever be delivered, so
-  // those timers must not probe forever.
-  const bool forever = permanently_down(node);
-  for (auto it = pending_tx_.begin(); it != pending_tx_.end();) {
-    const net::Message& m = it->second.msg;
-    if (m.src == node || (forever && m.dst == node)) {
-      const std::int64_t id = it->first;
-      it = pending_tx_.erase(it);
-      on_replicate_ack(id);  // a dead backup cannot hold a barrier hostage
-    } else {
-      ++it;
+  // those timers must not probe forever. A dead backup cannot hold a commit
+  // barrier hostage: its dropped kReplicate copies count as acked.
+  transport_->peer_gone(node, forever, [this](const AckWait& wait) {
+    if (wait.kind == AckWait::Kind::kReplicate) {
+      replicate_acked(wait.key);
     }
-  }
+  });
 }
 
 void Cluster::execute_restart(const net::NodeCrash& c) {

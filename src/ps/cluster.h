@@ -61,7 +61,6 @@
 #include <set>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -78,6 +77,7 @@
 #include "ps/autoscaler.h"
 #include "ps/membership.h"
 #include "ps/staleness.h"
+#include "ps/transport.h"
 #include "sim/queue.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -374,17 +374,14 @@ class Cluster {
   std::int64_t duplicates_suppressed() const {
     return duplicates_suppressed_.value();
   }
-  std::int64_t reliable_in_flight() const {
-    return static_cast<std::int64_t>(pending_tx_.size());
-  }
+  std::int64_t reliable_in_flight() const { return transport_->in_flight(); }
   /// Dedup entries currently held for `node` (bounded by watermark GC).
   std::int64_t dedup_entries(int node) const {
-    return static_cast<std::int64_t>(
-        seen_[static_cast<std::size_t>(node)].size());
+    return transport_->dedup_entries(node);
   }
   /// Msg-id watermark below which `node` suppresses without a table lookup.
   std::int64_t dedup_floor(int node) const {
-    return dedup_floor_[static_cast<std::size_t>(node)];
+    return transport_->dedup_floor(node);
   }
   Bytes goodput_bytes() const { return goodput_bytes_.value(); }
   // Membership-plane introspection (null/zero while disarmed).
@@ -561,14 +558,6 @@ class Cluster {
     std::int64_t iteration = -1;
   };
 
-  /// Sender-side state of one unacknowledged reliable message.
-  struct PendingTx {
-    net::Message msg;     ///< full copy, re-posted verbatim on timeout
-    TimeS rto = 0.0;      ///< delay of the *next* timer to be armed
-    int via_worker = -1;  ///< >= 0: retransmit through this worker's sendq
-    bool queued = false;  ///< a retransmit item is sitting in the sendq
-  };
-
   /// Counts that make a row's completion check O(1): credit() and
   /// reset_round() keep them, and count_row retakes them when `gen` is not
   /// the server view's generation (a liveness flip) or was set to kStale
@@ -717,25 +706,17 @@ class Cluster {
   int item_priority(std::int64_t slice) const;
   double jitter_factor(WorkerState& ws);
 
-  // --- reliable delivery (ack / timeout / retransmit / dedup) ---
-  /// Register `m` for acknowledged delivery: assigns its msg id and records
-  /// the sender-side retransmission state. `via_worker` >= 0 routes
-  /// retransmissions through that worker's priority send queue.
-  void arm_reliable(net::Message& m, int via_worker);
-  /// Post `m` directly, arming the reliability layer when it applies
-  /// (server->worker params/notify and worker pull requests).
+  // --- reliable delivery (src/ps/transport.h) ---
+  /// Post `m` directly, through the transport when the reliability layer
+  /// applies (server->worker params/notify and worker pull requests).
   void post_tracked(net::Message m);
-  TimeS initial_rto(const net::Message& m) const;
-  void schedule_retx_timer(std::int64_t msg_id, TimeS delay);
-  void on_retx_timeout(std::int64_t msg_id);
-  /// Demux-side reliability front-end: acks `m` and deduplicates. Returns
-  /// false when `m` is a duplicate that must not reach the protocol.
-  bool accept_reliable(int node, const net::Message& m);
-  /// Watermark GC of `node`'s dedup table: once it exceeds a size threshold,
-  /// advance the floor to the smallest msg id any sender can still
-  /// retransmit and drop every entry below it (below-floor arrivals are
-  /// suppressed by the floor alone), so long chaos runs hold bounded state.
-  void maybe_gc_dedup(int node);
+  /// Transport hook: a timed-out push goes back on its worker's send queue
+  /// at the original slice priority.
+  void requeue_retransmit(std::int64_t msg_id, const PendingSend& send);
+  /// The "r" mark of a retransmitted copy on its sender's rtx lane.
+  void retransmit_span(const net::Message& m);
+  /// Release what an acked (or abandoned) send was holding up.
+  void resolve_wait(const AckWait& wait);
 
   // --- membership plane ---
   /// True while a message can still usefully be addressed to `node`: it is
@@ -771,7 +752,8 @@ class Cluster {
   int slice_dst_node(int worker, std::int64_t slice) const;
   void commit_round(int server, std::int64_t slice, std::int64_t round);
   void release_round(int server, std::int64_t slice, std::int64_t round);
-  void on_replicate_ack(std::int64_t msg_id);
+  /// One backup of commit `key` holds the round (or is gone for good).
+  void replicate_acked(std::int64_t key);
   void inject_recheck(int server);
   void redirect_to_leader(int server, const net::Message& m);
   Bytes replicated_state_bytes(int server) const;
@@ -883,7 +865,8 @@ class Cluster {
   std::vector<int> rebalance_plan(int joiner_server) const;
   void start_migration(int donor, int group, int target);
   void finish_migration(const MigrationState& ms);
-  void on_migrate_ack(std::int64_t msg_id);
+  /// The target holds one more slice of `group`'s migration.
+  void migrate_acked(int group);
   /// True while `server` must withhold round releases for `group` (it is
   /// donating the group, or lease-fenced on it).
   bool group_frozen(int server, int group) const;
@@ -1001,6 +984,7 @@ class Cluster {
 
   sim::Simulator sim_;
   std::unique_ptr<net::Network> net_;
+  std::unique_ptr<Transport> transport_;
   std::unique_ptr<net::FaultInjector> faults_;
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::vector<std::unique_ptr<ServerState>> servers_;
@@ -1059,17 +1043,9 @@ class Cluster {
   obs::Histogram& stall_time_hist_;
   obs::Histogram& dssp_wait_hist_;
 
+  /// Loss can happen (the fault plan is active), so every protocol message
+  /// travels tracked. kReplicate copies are tracked either way.
   bool reliable_ = false;
-  std::int64_t next_msg_id_ = 0;
-  std::unordered_map<std::int64_t, PendingTx> pending_tx_;
-  std::vector<std::unordered_set<std::int64_t>> seen_;  ///< per-node dedup
-  /// Per-node dedup watermark: msg ids below it are suppressed without a
-  /// table entry (see maybe_gc_dedup). Survives crashes — suppression of a
-  /// retired id is always safe, and live retransmissions pin the floor.
-  std::vector<std::int64_t> dedup_floor_;
-  /// Dedup-table size that triggers a GC attempt.
-  static constexpr std::size_t kDedupGcThreshold = 4096;
-  Rng rto_rng_{0};  ///< consumed only when rto_jitter > 0
 
   // Membership plane (sized only when armed, except `node_state_` and the
   // views: every node stays up and joined, and every view static, unless
@@ -1081,7 +1057,6 @@ class Cluster {
   /// Per slice: its row in its group's ledgers. Per group: its slice count.
   std::vector<std::uint32_t> ledger_row_;
   std::vector<std::uint32_t> group_rows_;
-  std::unordered_map<std::int64_t, std::int64_t> replicate_wait_;  // msg->key
   std::unordered_map<std::int64_t, CommitState> commits_;  // key -> barrier
   std::vector<std::vector<std::int64_t>> ckpt_versions_;   // per server "disk"
   double rehydration_time_sum_ = 0.0;
@@ -1101,7 +1076,6 @@ class Cluster {
   std::vector<std::vector<TimeS>> self_lease_;
   /// Ground truth: acting_[server][group] — drives dual_primary_windows_.
   std::vector<std::vector<Acting>> acting_;
-  std::unordered_map<std::int64_t, int> migration_wait_;  // msg id -> group
   std::map<int, MigrationState> migrations_in_progress_;  // group -> state
 
   // Partition fault plane + per-node clock drift (inert unless armed).

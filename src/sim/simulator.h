@@ -35,7 +35,10 @@
 //     filled with `schedule_reserved` when it reaches the head, so it runs
 //     exactly where a plain `schedule_at` would have put it. The network's
 //     per-NIC delivery streams (net/network.h) keep the heap at O(nodes)
-//     entries instead of one per message in flight.
+//     entries instead of one per message in flight. The reliable transport's
+//     retransmit timers (ps/transport.h) claim theirs with `reserve`, the
+//     slot a plain `schedule` would have given, and only the earliest live
+//     timer holds a heap entry.
 //
 // Event times must be numbers: a NaN delay or time throws
 // std::invalid_argument, since it would otherwise sort after +infinity.
@@ -43,6 +46,7 @@
 
 #include <bit>
 #include <cmath>
+#include <compare>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -91,11 +95,23 @@ class Simulator {
   }
 
   /// A place in the (time, seq) event order, claimed now for an event that
-  /// is scheduled later with schedule_reserved().
+  /// is scheduled later with schedule_reserved(). Compares in event order.
   struct Reservation {
     TimeS time;
     std::uint64_t seq;
+    auto operator<=>(const Reservation&) const = default;
   };
+
+  /// Claim the slot that `schedule(dt, ...)` would give an event now: the
+  /// time is schedule's own `now + dt`. A negative or NaN delay throws
+  /// std::invalid_argument.
+  Reservation reserve(TimeS dt) {
+    if (!(dt >= 0.0)) {
+      throw std::invalid_argument(std::isnan(dt) ? "NaN event delay"
+                                                 : "negative event delay");
+    }
+    return {now_ + dt, take_seq()};
+  }
 
   /// Claim the slot that `schedule_at(t, ...)` would give an event now. A NaN
   /// `t` throws std::invalid_argument.
@@ -104,10 +120,11 @@ class Simulator {
     return {now_ + (t > now_ ? t - now_ : 0.0), take_seq()};
   }
 
-  /// Schedule `fn` into a slot claimed earlier with reserve_at(): it runs
-  /// exactly where it would have run had it been scheduled at reservation
-  /// time, even inside an open same-time batch. Throws std::logic_error if
-  /// the dispatch order has already passed the slot.
+  /// Schedule `fn` into a slot claimed earlier with reserve() or
+  /// reserve_at(): it runs exactly where it would have run had it been
+  /// scheduled at reservation time, even inside an open same-time batch.
+  /// Throws std::logic_error if the dispatch order has already passed the
+  /// slot.
   template <typename F>
   void schedule_reserved(Reservation r, F&& fn) {
     const std::uint32_t slot = acquire_slot();

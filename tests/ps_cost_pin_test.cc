@@ -233,6 +233,9 @@ void expect_cost(const Cost& got, const Cost& want) {
 // Events after run() and after drain(); messages posted, delivered and
 // dropped, and the drops an active cut caused; throughput, mean iteration,
 // total and stall times (exact, as hex floats); goodput and wire bytes.
+// Events count the retransmit timers that fire and the transport's wakeups
+// that find their timer acked, never a timer discarded on its ack
+// (ps/transport.h).
 constexpr Cost kFlatBaseline = {57491,
                                 57568,
                                 16992,
@@ -269,8 +272,8 @@ constexpr Cost kSlicedVgg = {201778,
                              0x1.2e25e31c0b0a8p+0,
                              10198771200,
                              10201319744};
-constexpr Cost kRackChaos = {556446,
-                             576379,
+constexpr Cost kRackChaos = {509733,
+                             526521,
                              120316,
                              119025,
                              1291,
@@ -282,8 +285,8 @@ constexpr Cost kRackChaos = {556446,
                              9550110304,
                              9726671840};
 
-constexpr Cost kFailoverRestart = {29936,
-                                   31006,
+constexpr Cost kFailoverRestart = {28384,
+                                   29211,
                                    11839,
                                    11639,
                                    200,
@@ -294,8 +297,8 @@ constexpr Cost kFailoverRestart = {29936,
                                    0x1.0e8f8210f8c8dp-4,
                                    283342272,
                                    296962496};
-constexpr Cost kJoinThenLeave = {7283,
-                                 7449,
+constexpr Cost kJoinThenLeave = {7267,
+                                 7431,
                                  2780,
                                  2780,
                                  0,
@@ -306,8 +309,8 @@ constexpr Cost kJoinThenLeave = {7283,
                                  0x1.22aa40738f94dp-4,
                                  155138240,
                                  157673984};
-constexpr Cost kDsspCrash = {15734,
-                             16621,
+constexpr Cost kDsspCrash = {14917,
+                             15622,
                              5788,
                              5778,
                              10,

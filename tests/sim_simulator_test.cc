@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -316,6 +317,50 @@ TEST(Simulator, ReserveAtComputesTheTimeLikeScheduleAt) {
   sim.run();
   EXPECT_EQ(r.time, seen);  // bit-equal: now + (t - now), not plain t
   EXPECT_EQ(sim.reserve_at(0.0).time, sim.now());  // past clamps to now
+}
+
+TEST(Simulator, ReserveRunsWhereScheduleWould) {
+  // Twin runs from a non-zero clock: an event scheduled dt from now between
+  // two others at the same time, and the same event through reserve(dt),
+  // filled in halfway there. Each records its clock bit for bit.
+  auto stamp = [](TimeS t) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%a", t);
+    return std::string(buf);
+  };
+  auto twin = [&stamp](TimeS dt, bool reserved) {
+    Simulator sim;
+    std::vector<std::string> order;
+    sim.schedule(0.1, [&sim, &order, &stamp, dt, reserved] {
+      sim.schedule(dt, [&] { order.push_back("before"); });
+      if (reserved) {
+        const Simulator::Reservation r = sim.reserve(dt);
+        EXPECT_EQ(r.time, sim.now() + dt);
+        sim.schedule(dt / 2, [&sim, &order, &stamp, r] {
+          sim.schedule_reserved(
+              r, [&] { order.push_back("timer@" + stamp(sim.now())); });
+        });
+      } else {
+        sim.schedule(dt,
+                     [&] { order.push_back("timer@" + stamp(sim.now())); });
+      }
+      sim.schedule(dt, [&] { order.push_back("after"); });
+    });
+    sim.run();
+    order.push_back("end@" + stamp(sim.now()));
+    return order;
+  };
+  for (const TimeS dt : {0.7, 0.3, 1e-9, 123.456}) {
+    SCOPED_TRACE(stamp(dt));
+    const auto plain = twin(dt, false);
+    EXPECT_EQ(twin(dt, true), plain);
+    ASSERT_EQ(plain.size(), 4u);
+    EXPECT_EQ(plain[0], "before");
+    EXPECT_EQ(plain[2], "after");
+  }
+  Simulator sim;
+  EXPECT_THROW(sim.reserve(-1.0), std::invalid_argument);
+  EXPECT_THROW(sim.reserve(std::nan("")), std::invalid_argument);
 }
 
 TEST(Simulator, ReservedSlotsJoinAnOpenBatchAtTheirSeqPosition) {
