@@ -157,7 +157,7 @@ TEST(TimerQueue, TimerArmedAheadOfThePendingWakeupRunsInItsOwnSlot) {
   std::set<std::int64_t> live = {1, 2};
   TimerQueue timers(
       sim, [&](std::int64_t id) { return live.count(id) > 0; },
-      [&](std::int64_t id) { order.push_back("t" + std::to_string(id)); });
+      [&](std::int64_t id) { order.push_back(id == 1 ? "t1" : "t2"); });
   timers.arm(1, 2.0);  // holds the wakeup
   sim.schedule(1.0, [&] { order.push_back("before"); });
   timers.arm(2, 1.0);  // ahead of it: needs a wakeup of its own
