@@ -34,16 +34,15 @@ bool NetPartition::severs(int src, int dst, TimeS t) const {
 }
 
 bool NetPartition::severs_during(int src, int dst, TimeS t0, TimeS t1) const {
+  // Window [start, heal) overlaps [t0, t1]? Tested before the side scans,
+  // as in severs(): most transfers run outside every cut.
+  if (!(start <= t1 && t0 < heal)) return false;
   const bool crosses = (in_a(src) && in_b(dst)) ||
                        (symmetric && in_b(src) && in_a(dst));
   if (!crosses) return false;
-  if (flap_period <= 0.0) {
-    // Window [start, heal) overlaps [t0, t1]?
-    return start <= t1 && t0 < heal;
-  }
+  if (flap_period <= 0.0) return true;
   // Flapping: check each on-window [start + k*P, start + k*P + P/2) that
   // could overlap [t0, t1], clipped to [start, heal).
-  if (t1 < start || t0 >= heal) return false;
   const TimeS lo = std::max(t0, start);
   const TimeS hi = std::min(t1, heal);
   const auto k0 = static_cast<long long>((lo - start) / flap_period);

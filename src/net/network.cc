@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -25,6 +26,7 @@ Network::Network(sim::Simulator& sim, int n_nodes, NetworkConfig config)
     topo_.validate(n_nodes);
     hier_ = true;
     rack_of_.assign(static_cast<std::size_t>(n_nodes), -1);
+    nic_links_.resize(static_cast<std::size_t>(n_nodes));
     up_ports_.resize(static_cast<std::size_t>(topo_.n_racks()));
     down_ports_.resize(static_cast<std::size_t>(topo_.n_racks()));
     for (int r = 0; r < topo_.n_racks(); ++r) {
@@ -38,8 +40,12 @@ Network::Network(sim::Simulator& sim, int n_nodes, NetworkConfig config)
               ? *topo_.uplink_rate
               : config.rate * static_cast<double>(members.size()) /
                     topo_.oversubscription;
-      up_ports_[static_cast<std::size_t>(r)].rate = cap;
-      down_ports_[static_cast<std::size_t>(r)].rate = cap;
+      SwitchPort& up = up_ports_[static_cast<std::size_t>(r)];
+      SwitchPort& down = down_ports_[static_cast<std::size_t>(r)];
+      up.rate = cap;
+      up.out.to = Hop::kDownlink;
+      down.rate = cap;
+      down.out.to = Hop::kRx;
     }
   }
 }
@@ -199,28 +205,63 @@ TimeS Network::post_hier(const Message& m) {
                         message_label_id(*tracer_, *slot));
     hier_flows_.emplace(slot, flow);
   }
-  const int src_rack = rack_of_[static_cast<std::size_t>(slot->src)];
-  const int dst_rack = rack_of_[static_cast<std::size_t>(slot->dst)];
-  if (src_rack == dst_rack) {
+  NicLinks& links = nic_links_[static_cast<std::size_t>(slot->src)];
+  if (rack_of_[static_cast<std::size_t>(slot->src)] ==
+      rack_of_[static_cast<std::size_t>(slot->dst)]) {
     // Intra-rack: the ToR forwards at line rate (non-blocking crossbar for
     // local traffic) — one hop in, one hop out, no shared-port queueing.
-    const TimeS at = tx_end + hop_latency + topo_.tor_latency;
-    sim_->schedule_at(at, [this, slot] { arrive_rx(slot); });
+    send_hop(links.to_peers, tx_end + hop_latency + topo_.tor_latency, slot);
   } else {
-    const TimeS at = tx_end + hop_latency;
-    sim_->schedule_at(
-        at, [this, slot, src_rack] { port_enqueue(src_rack, true, slot); });
+    send_hop(links.to_uplink, tx_end + hop_latency, slot);
   }
   return tx_end;
+}
+
+void Network::send_hop(Link& link, TimeS t, Message* msg) {
+  const sim::Simulator::Reservation at = sim_->reserve_at(t);
+  DeliveryStream& hops = link.hops;
+  if (hops.size > 0 && at.time < hops.back().at.time) {
+    // A degradation window's extra latency ended between the link's tail
+    // and this hop, so this one lands first: it takes its own event, in
+    // the slot it just claimed, and the link stays in (time, seq) order.
+    sim_->schedule_reserved(at, HopFn{this, msg, link.to});
+    return;
+  }
+  hops.push({at, msg});
+  if (hops.size == 1) sim_->schedule_reserved(at, LinkHeadFn{this, &link});
+}
+
+void Network::link_head(Link& link) {
+  DeliveryStream& hops = link.hops;
+  Message* msg = hops.front().msg;
+  hops.pop();
+  if (hops.size > 0) {
+    sim_->schedule_reserved(hops.front().at, LinkHeadFn{this, &link});
+  }
+  land(link.to, msg);
+}
+
+void Network::land(Hop to, Message* msg) {
+  switch (to) {
+    case Hop::kUplink:
+      port_enqueue(rack_of_[static_cast<std::size_t>(msg->src)], true, msg);
+      return;
+    case Hop::kDownlink:
+      port_enqueue(rack_of_[static_cast<std::size_t>(msg->dst)], false, msg);
+      return;
+    case Hop::kRx:
+      arrive_rx(msg);
+      return;
+  }
 }
 
 void Network::port_enqueue(int rack, bool up, Message* msg) {
   SwitchPort& p = port(rack, up);
   if (!p.busy) {
-    port_start(rack, up, PortJob{msg, port_seq_++});
+    port_start(rack, up, msg);
     return;
   }
-  p.queue.push_back(PortJob{msg, port_seq_++});
+  p.queue.push(msg);
   p.peak_queue =
       std::max(p.peak_queue, static_cast<std::int64_t>(p.queue.size()));
   if (tracer_ != nullptr && tracer_->enabled()) {
@@ -229,66 +270,34 @@ void Network::port_enqueue(int rack, bool up, Message* msg) {
   }
 }
 
-void Network::port_start(int rack, bool up, PortJob job) {
+void Network::port_start(int rack, bool up, Message* msg) {
   SwitchPort& p = port(rack, up);
   p.busy = true;
   const TimeS start = sim_->now();
-  const TimeS end = start + transfer_time(job.msg->bytes, p.rate);
-  p.bytes += job.msg->bytes;
+  const TimeS end = start + transfer_time(msg->bytes, p.rate);
+  p.bytes += msg->bytes;
   p.busy_time += end - start;
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->span(port_lane(rack, up, false), start, end,
-                  message_label_id(*tracer_, *job.msg));
+                  message_label_id(*tracer_, *msg));
   }
-  Message* msg = job.msg;
   sim_->schedule_at(end, [this, rack, up, msg] { port_done(rack, up, msg); });
 }
 
 void Network::port_done(int rack, bool up, Message* msg) {
   SwitchPort& p = port(rack, up);
   p.busy = false;
-
-  // Hand the finished transfer to the next tier.
-  if (up) {
-    const int dst_rack = rack_of_[static_cast<std::size_t>(msg->dst)];
-    const TimeS at = sim_->now() + topo_.spine_latency;
-    sim_->schedule_at(
-        at, [this, msg, dst_rack] { port_enqueue(dst_rack, false, msg); });
-  } else {
-    const TimeS at = sim_->now() + topo_.tor_latency;
-    sim_->schedule_at(at, [this, msg] { arrive_rx(msg); });
-  }
-
+  // Hand the finished transfer to the next tier: the spine carries it to
+  // the destination rack's downlink, the downlink's ToR to the NIC.
+  send_hop(p.out,
+           sim_->now() + (up ? topo_.spine_latency : topo_.tor_latency), msg);
   if (p.queue.empty()) return;
-  // Pick the next transfer: strict (priority, arrival) order, or pure
-  // arrival order under the FIFO ablation. The pop is also where the two
-  // scheduling counters are judged — overtake: the winner arrived after a
-  // strictly-lower-priority transfer still waiting; inversion: a strictly-
-  // higher-priority transfer keeps waiting behind the winner.
-  std::size_t pick = 0;
-  for (std::size_t i = 1; i < p.queue.size(); ++i) {
-    const PortJob& a = p.queue[i];
-    const PortJob& b = p.queue[pick];
-    const bool a_wins =
-        topo_.fifo_ports
-            ? a.seq < b.seq
-            : (a.msg->priority < b.msg->priority ||
-               (a.msg->priority == b.msg->priority && a.seq < b.seq));
-    if (a_wins) pick = i;
-  }
-  const PortJob next = p.queue[pick];
-  bool overtook = false;
-  bool inverted = false;
-  for (std::size_t i = 0; i < p.queue.size(); ++i) {
-    if (i == pick) continue;
-    const PortJob& other = p.queue[i];
-    overtook |= other.seq < next.seq && other.msg->priority > next.msg->priority;
-    inverted |= other.msg->priority < next.msg->priority;
-  }
-  overtakes_ += overtook ? 1 : 0;
-  inversions_ += inverted ? 1 : 0;
-  p.queue.erase(p.queue.begin() + static_cast<std::ptrdiff_t>(pick));
-  port_start(rack, up, next);
+  // Strict (priority, arrival) order, or pure arrival order under the FIFO
+  // ablation; the pop also judges the two scheduling counters.
+  const PortQueue::Pop next = p.queue.pop(topo_.fifo_ports);
+  overtakes_ += next.overtook ? 1 : 0;
+  inversions_ += next.inverted ? 1 : 0;
+  port_start(rack, up, next.msg);
 }
 
 void Network::arrive_rx(Message* msg) {
@@ -408,6 +417,83 @@ Message* Network::acquire(const Message& m) {
 void Network::release(Message* msg) {
   hier_flows_.erase(msg);
   free_.push_back(msg);
+}
+
+void PortQueue::push(Message* msg) {
+  const std::size_t idx = list_index(msg->priority);
+  std::uint32_t n = free_;
+  if (n == kNone) {
+    n = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  } else {
+    free_ = nodes_[n].next;
+  }
+  nodes_[n] = Node{msg, msg->priority, kNone, newest_, kNone};
+  List& list = lists_[idx];
+  if (list.head == kNone) {
+    list.head = n;
+    bits_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+  } else {
+    nodes_[list.tail].next = n;
+  }
+  list.tail = n;
+  (newest_ == kNone ? oldest_ : nodes_[newest_].newer) = n;
+  newest_ = n;
+  ++size_;
+}
+
+PortQueue::Pop PortQueue::pop(bool fifo) {
+  // Every list is in arrival order, so the oldest transfer heads its list.
+  const std::size_t first = first_list();
+  const std::uint32_t n = fifo ? oldest_ : lists_[first].head;
+  Node& node = nodes_[n];
+  const auto idx =
+      static_cast<std::size_t>(static_cast<std::int64_t>(node.priority) - lo_);
+  const Pop served{node.msg, n != oldest_, first < idx};
+  List& list = lists_[idx];
+  list.head = node.next;
+  if (list.head == kNone) {
+    list.tail = kNone;
+    bits_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+  }
+  (node.older == kNone ? oldest_ : nodes_[node.older].newer) = node.newer;
+  (node.newer == kNone ? newest_ : nodes_[node.newer].older) = node.older;
+  node.next = free_;
+  free_ = n;
+  --size_;
+  return served;
+}
+
+std::size_t PortQueue::first_list() const {
+  std::size_t word = 0;
+  while (bits_[word] == 0) ++word;
+  return word * 64 + static_cast<std::size_t>(std::countr_zero(bits_[word]));
+}
+
+std::size_t PortQueue::list_index(int priority) {
+  if (lists_.empty() || priority < lo_) {
+    // A new most-urgent extreme (rare): every list shifts up by the gap and
+    // the bitmap is rebuilt from the lists.
+    const std::size_t gap =
+        lists_.empty() ? 0
+                       : static_cast<std::size_t>(
+                             static_cast<std::int64_t>(lo_) - priority);
+    lists_.insert(lists_.begin(), gap, List{});
+    lo_ = priority;
+    bits_.assign((lists_.size() + 63) / 64, 0);
+    for (std::size_t i = 0; i < lists_.size(); ++i) {
+      if (lists_[i].head != kNone) {
+        bits_[i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+    }
+  }
+  const auto idx =
+      static_cast<std::size_t>(static_cast<std::int64_t>(priority) - lo_);
+  if (idx >= lists_.size()) {
+    lists_.resize(idx + 1);
+    bits_.resize(idx / 64 + 1, 0);
+  }
+  return idx;
 }
 
 void Network::DeliveryStream::push(const Item& item) {

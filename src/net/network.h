@@ -40,6 +40,24 @@
 // first; FIFO tie-break on arrival), so P3's slice priority contends at the
 // oversubscribed switch port, not just at the sender's NIC. An inactive
 // topology (the default) keeps the flat code path untouched.
+//
+// Every hop of that path costs O(1):
+//   * a port's waiting transfers sit in a `PortQueue`: one FIFO list per
+//     priority value, a bitmap of the non-empty lists, and one arrival-order
+//     list through all of them. A priority pop takes the head of the most
+//     urgent list; it overtook exactly when that transfer is not the oldest
+//     one waiting (an older one can only be less urgent), and it never
+//     inverts. A `fifo_ports` pop takes the oldest; it inverted exactly when
+//     a more urgent list is non-empty, and it never overtakes. Both counters
+//     are thus read off two list heads instead of a scan of the queue;
+//   * every in-order fabric link is a stream like a NIC's deliveries: each
+//     NIC's hop into its ToR toward the uplink and toward same-rack peers,
+//     and each port's output toward the next tier. A hop claims its event
+//     slot when it is produced and only the link's head holds a heap entry,
+//     so the heap holds O(nodes + racks) fabric events. A hop that arrives
+//     ahead of its link's tail (a degradation window's extra latency ended
+//     between the two) runs as its own event in the slot it claimed. Either
+//     way every hop runs exactly where a per-hop event would have run.
 #pragma once
 
 #include <deque>
@@ -61,6 +79,58 @@
 namespace p3::net {
 
 class Network;
+
+/// The transfers waiting at one switch port. Push, pop and both scheduling
+/// judgments are O(1) (a pop finds the most urgent list with one count-
+/// trailing-zeros per 64 priority values). Priorities may be any int; the
+/// covered range grows (rarely) to take a new extreme.
+class PortQueue {
+ public:
+  /// A transfer taken for service, judged against those still waiting.
+  struct Pop {
+    Message* msg;
+    /// A strictly-less-urgent transfer that arrived earlier still waits.
+    bool overtook;
+    /// A strictly-more-urgent transfer still waits.
+    bool inverted;
+  };
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  /// Queue `msg` behind every earlier arrival, ranked by its `priority`.
+  void push(Message* msg);
+  /// Take the next transfer: the most urgent (oldest first among equals),
+  /// or the oldest under `fifo`. The queue must not be empty.
+  Pop pop(bool fifo);
+
+ private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  struct Node {
+    Message* msg;
+    int priority;
+    std::uint32_t next;   ///< next in its priority list, or in the free list
+    std::uint32_t older;  ///< arrival-order neighbours
+    std::uint32_t newer;
+  };
+  struct List {
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+  };
+
+  /// Index of `priority`'s list, widening the covered range if needed.
+  std::size_t list_index(int priority);
+  /// Index of the most urgent non-empty list.
+  std::size_t first_list() const;
+
+  std::vector<Node> nodes_;
+  std::uint32_t free_ = kNone;    ///< recycled nodes, linked through `next`
+  std::vector<List> lists_;       ///< lists_[i] holds priority lo_ + i
+  std::vector<std::uint64_t> bits_;  ///< non-empty lists
+  int lo_ = 0;
+  std::uint32_t oldest_ = kNone;  ///< arrival-order list
+  std::uint32_t newest_ = kNone;
+  std::size_t size_ = 0;
+};
 
 /// Move-only reference to a delivered (or parked) message in a Network's
 /// pool. Destroying or resetting a non-empty handle returns the slot to the
@@ -223,6 +293,7 @@ class Network {
   /// times never decrease: only the head holds a simulator event, and each
   /// later delivery is scheduled into the slot it reserved when its channel
   /// time was booked, exactly where a per-message event would have run.
+  /// A fabric `Link` keeps its hops in one of these too.
   struct DeliveryStream {
     struct Item {
       sim::Simulator::Reservation at;
@@ -271,18 +342,47 @@ class Network {
   void deliver_head(DeliveryStream& stream);
   void deliver(Message* msg);
 
-  /// A transfer waiting for (or holding) a switch port.
-  struct PortJob {
-    Message* msg;
-    std::int64_t seq;  ///< port arrival order; FIFO tie-break
+  /// Where a fabric hop lands: the source rack's uplink port, the
+  /// destination rack's downlink port, or the destination NIC.
+  enum class Hop : std::uint8_t { kUplink, kDownlink, kRx };
+
+  /// One in-order fabric link and where its hops land.
+  struct Link {
+    DeliveryStream hops;
+    Hop to = Hop::kRx;
   };
+
+  /// Link-head event: 16 bytes, fits EventFn's inline buffer.
+  struct LinkHeadFn {
+    Network* net;
+    Link* link;
+    void operator()() const { net->link_head(*link); }
+  };
+  /// A hop that arrives ahead of its link's tail, as its own event.
+  struct HopFn {
+    Network* net;
+    Message* msg;
+    Hop to;
+    void operator()() const { net->land(to, msg); }
+  };
+
+  /// A NIC's two links into its ToR. A same-rack hop lands one ToR crossing
+  /// later than an uplink hop sent with it, so in one stream the two kinds
+  /// would land out of order.
+  struct NicLinks {
+    Link to_uplink{{}, Hop::kUplink};
+    Link to_peers{{}, Hop::kRx};
+  };
+
   /// One shared ToR uplink or rack downlink: serves one transfer at a time,
   /// picking the next by (priority, arrival) — or pure arrival order under
-  /// `Topology::fifo_ports`.
+  /// `Topology::fifo_ports` — and hands each finished one to the next tier
+  /// over `out`.
   struct SwitchPort {
     BitsPerSec rate = 0;
     bool busy = false;
-    std::vector<PortJob> queue;
+    PortQueue queue;
+    Link out;
     Bytes bytes = 0;
     std::int64_t peak_queue = 0;
     TimeS busy_time = 0;
@@ -292,8 +392,12 @@ class Network {
   /// model as the flat path: drop/crash evaluated at source TX, pause/down/
   /// severed at the destination RX window.
   TimeS post_hier(const Message& m);
+  /// Send `msg` over `link` to land at `t`.
+  void send_hop(Link& link, TimeS t, Message* msg);
+  void link_head(Link& link);
+  void land(Hop to, Message* msg);
   void port_enqueue(int rack, bool up, Message* msg);
-  void port_start(int rack, bool up, PortJob job);
+  void port_start(int rack, bool up, Message* msg);
   void port_done(int rack, bool up, Message* msg);
   void arrive_rx(Message* msg);
   SwitchPort& port(int rack, bool up) {
@@ -327,9 +431,9 @@ class Network {
   bool hier_ = false;
   Topology topo_;
   std::vector<int> rack_of_;  ///< node -> rack
+  std::vector<NicLinks> nic_links_;  ///< node -> its links into its ToR
   std::vector<SwitchPort> up_ports_;
   std::vector<SwitchPort> down_ports_;
-  std::int64_t port_seq_ = 0;
   std::int64_t overtakes_ = 0;
   std::int64_t inversions_ = 0;
   /// Flow-arrow ids for traced in-flight messages on the multi-hop path

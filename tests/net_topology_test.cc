@@ -1,16 +1,21 @@
 // Rack-scale topology: validate() rejects malformed shapes, hierarchical
 // routing pays the per-hop serialization and latency arithmetic exactly,
 // shared switch ports serve strictly by priority (overtakes allowed,
-// inversions impossible — unless the FIFO ablation is on), and a flat
-// network keeps every hierarchy counter at zero.
+// inversions impossible — unless the FIFO ablation is on), a port's O(1)
+// queue serves and judges exactly as a scan of its waiting transfers does,
+// and a flat network keeps every hierarchy counter at zero.
 #include "net/topology.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -264,6 +269,142 @@ TEST(PortDiscipline, FifoAblationInvertsInsteadOfOvertaking) {
   // nothing ever overtakes.
   EXPECT_EQ(h.net.uplink_overtakes(), 0);
   EXPECT_GT(h.net.uplink_priority_inversions(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// PortQueue against the scans it replaced: the waiting transfers in arrival
+// order, the next one picked by a scan for the least (priority, arrival) —
+// or the least arrival under FIFO ports — and judged by a second scan over
+// every other waiting transfer.
+// ---------------------------------------------------------------------------
+
+class ScanPort {
+ public:
+  void push(Message* msg) { queue_.push_back({msg, next_seq_++}); }
+  bool empty() const { return queue_.empty(); }
+
+  PortQueue::Pop pop(bool fifo) {
+    std::size_t pick = 0;
+    for (std::size_t i = 1; i < queue_.size(); ++i) {
+      const Job& a = queue_[i];
+      const Job& b = queue_[pick];
+      const bool a_wins =
+          fifo ? a.seq < b.seq
+               : (a.msg->priority < b.msg->priority ||
+                  (a.msg->priority == b.msg->priority && a.seq < b.seq));
+      if (a_wins) pick = i;
+    }
+    const Job next = queue_[pick];
+    bool overtook = false;
+    bool inverted = false;
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      if (i == pick) continue;
+      const Job& other = queue_[i];
+      overtook |=
+          other.seq < next.seq && other.msg->priority > next.msg->priority;
+      inverted |= other.msg->priority < next.msg->priority;
+    }
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
+    return {next.msg, overtook, inverted};
+  }
+
+ private:
+  struct Job {
+    Message* msg;
+    std::int64_t seq;
+  };
+  std::vector<Job> queue_;
+  std::int64_t next_seq_ = 0;
+};
+
+struct ScriptTally {
+  std::int64_t pops = 0;
+  std::int64_t overtakes = 0;
+  std::int64_t inversions = 0;
+  int lowest = 0;  ///< most urgent priority pushed
+};
+
+/// One seeded script of pushes and interleaved pops, driven through both
+/// queues. Priorities fall in 0..200 for the first half, so the most urgent
+/// values -5..-1 arrive only once the lists are laid out; a third of the
+/// pushes draw from a few hot values, so equal priorities queue together.
+/// Bursts let the queue build up and drain. Every pop must serve the same
+/// transfer with the same judgments.
+ScriptTally run_script(std::uint64_t seed, bool fifo) {
+  constexpr int kOps = 2000;
+  Rng rng(seed);
+  std::deque<Message> messages;
+  PortQueue fast;
+  ScanPort scan;
+  ScriptTally tally;
+  for (int op = 0; op < kOps; ++op) {
+    const double push_share = (op / 100) % 2 == 0 ? 0.7 : 0.35;
+    if (scan.empty() || rng.uniform() < push_share) {
+      int priority;
+      if (rng.uniform() < 1.0 / 3) {
+        priority = static_cast<int>(rng.uniform_index(4)) * 3;
+      } else if (op < kOps / 2) {
+        priority = static_cast<int>(rng.uniform_index(201));
+      } else {
+        priority = static_cast<int>(rng.uniform_index(206)) - 5;
+      }
+      Message& m = messages.emplace_back();
+      m.priority = priority;
+      tally.lowest = std::min(tally.lowest, priority);
+      fast.push(&m);
+      scan.push(&m);
+      continue;
+    }
+    const PortQueue::Pop want = scan.pop(fifo);
+    const PortQueue::Pop got = fast.pop(fifo);
+    ++tally.pops;
+    if (got.msg != want.msg || got.overtook != want.overtook ||
+        got.inverted != want.inverted) {
+      ADD_FAILURE() << "seed " << seed << (fifo ? " fifo" : " priority")
+                    << ", op " << op << ": served priority "
+                    << got.msg->priority << " (overtook " << got.overtook
+                    << ", inverted " << got.inverted << "), reference "
+                    << want.msg->priority << " (" << want.overtook << ", "
+                    << want.inverted << ")";
+      return tally;
+    }
+    tally.overtakes += got.overtook ? 1 : 0;
+    tally.inversions += got.inverted ? 1 : 0;
+    EXPECT_EQ(fast.size(),
+              messages.size() - static_cast<std::size_t>(tally.pops));
+  }
+  while (!scan.empty()) {
+    const PortQueue::Pop want = scan.pop(fifo);
+    const PortQueue::Pop got = fast.pop(fifo);
+    EXPECT_EQ(got.msg, want.msg);
+    EXPECT_EQ(got.overtook, want.overtook);
+    EXPECT_EQ(got.inverted, want.inverted);
+  }
+  EXPECT_TRUE(fast.empty());
+  return tally;
+}
+
+TEST(PortQueueScan, PriorityServiceMatchesTheScans) {
+  std::int64_t overtakes = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const ScriptTally t = run_script(seed, /*fifo=*/false);
+    EXPECT_GT(t.pops, 500);
+    EXPECT_LT(t.lowest, 0) << "the range never widened, seed " << seed;
+    EXPECT_EQ(t.inversions, 0);
+    overtakes += t.overtakes;
+  }
+  EXPECT_GT(overtakes, 0);
+}
+
+TEST(PortQueueScan, FifoServiceMatchesTheScans) {
+  std::int64_t inversions = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const ScriptTally t = run_script(seed, /*fifo=*/true);
+    EXPECT_GT(t.pops, 500);
+    EXPECT_EQ(t.overtakes, 0);
+    inversions += t.inversions;
+  }
+  EXPECT_GT(inversions, 0);
 }
 
 // ---------------------------------------------------------------------------

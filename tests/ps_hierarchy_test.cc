@@ -2,13 +2,16 @@
 // rerun-to-rerun and across runner thread counts, P3's urgent slices
 // overtake queued bulk at an oversubscribed ToR uplink without a single
 // priority inversion, rack aggregation conserves gradients exactly-once
-// through aggregator crashes and rack-severing partitions, and a flat
-// configuration keeps the whole plane disarmed.
+// through aggregator crashes and rack-severing partitions, a fabric hop that
+// a degradation's end puts ahead of its link's tail lands on time, and a
+// flat configuration keeps the whole plane disarmed.
 #include "ps/cluster.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
@@ -287,6 +290,100 @@ TEST(HierChaos, RackSeveringPartitionParksAndDrainsOnHeal) {
   EXPECT_EQ(result.dual_primary_windows, 0);
   expect_converged(cluster, 4, iterations, 4);
   EXPECT_TRUE(cluster.simulator().idle());
+}
+
+
+// ---------------------------------------------------------------------------
+// Link order under a degradation. Each NIC's hops into its ToR travel as one
+// in-order stream per link; a hop sent after a degradation window's extra
+// latency ends reaches the ToR ahead of hops sent inside the window, and it
+// must land at its own time, not behind them. Pinned: every measured output
+// and event count of a run whose 2 ms window ends mid-iteration.
+// ---------------------------------------------------------------------------
+
+struct LinkOrderPin {
+  double throughput;
+  TimeS total_time;
+  std::vector<TimeS> iteration_times;
+  std::uint64_t run_events;    ///< events executed by run()
+  std::uint64_t total_events;  ///< after drain()
+  std::int64_t uplink_overtakes;
+  Bytes wire_bytes;
+};
+
+LinkOrderPin degraded_fabric_run(SyncMethod method) {
+  ClusterConfig cfg;
+  cfg.seed = 42;
+  cfg.faults.seed = 42;
+  cfg.n_workers = 8;
+  cfg.method = method;
+  cfg.bandwidth = gbps(10);
+  cfg.rx_bandwidth = gbps(100);
+  net::Topology topo;
+  topo.racks = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  topo.oversubscription = 4.0;
+  cfg.topology = topo;
+  net::Degradation slow;
+  slow.node = -1;
+  slow.start = 0.0;
+  slow.end = 0.15;
+  slow.extra_latency = ms(2);
+  cfg.faults.degradations.push_back(slow);
+  Cluster cluster(model::workload_resnet50(), cfg);
+  const RunResult r = cluster.run(1, 2);
+  LinkOrderPin pin;
+  pin.run_events = cluster.simulator().events_executed();
+  cluster.drain();
+  pin.total_events = cluster.simulator().events_executed();
+  pin.throughput = r.throughput;
+  pin.total_time = r.total_time;
+  pin.iteration_times = r.iteration_times;
+  pin.uplink_overtakes = r.uplink_overtakes;
+  pin.wire_bytes = r.wire_bytes;
+  return pin;
+}
+
+void expect_pin(const LinkOrderPin& got, const LinkOrderPin& want) {
+  std::string times;
+  for (const TimeS t : got.iteration_times) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%a ", t);
+    times += buf;
+  }
+  SCOPED_TRACE(::testing::Message()
+               << "measured " << got.run_events << " " << got.total_events
+               << " " << got.uplink_overtakes << " " << got.wire_bytes
+               << " " << std::hexfloat << got.throughput << " "
+               << got.total_time << " {" << times << "}");
+  EXPECT_EQ(got.throughput, want.throughput);
+  EXPECT_EQ(got.total_time, want.total_time);
+  EXPECT_EQ(got.iteration_times, want.iteration_times);
+  EXPECT_EQ(got.run_events, want.run_events);
+  EXPECT_EQ(got.total_events, want.total_events);
+  EXPECT_EQ(got.uplink_overtakes, want.uplink_overtakes);
+  EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+}
+
+TEST(HierLinkOrder, BaselineHopsAheadOfTheirLinkTailLandOnTime) {
+  expect_pin(degraded_fabric_run(SyncMethod::kBaseline),
+             {0x1.127725eb4d9bep+6,
+              0x1.15d11fb6572bap+1,
+              {0x1.e33b97ddacfadp-1, 0x1.d7d41062e4d4ep-1},
+              325870,
+              430889,
+              0,
+              7469821948});
+}
+
+TEST(HierLinkOrder, P3HopsAheadOfTheirLinkTailLandOnTime) {
+  expect_pin(degraded_fabric_run(SyncMethod::kP3),
+             {0x1.75fb8fae916acp+6,
+              0x1.ac8e5f46d86ep+0,
+              {0x1.80176333c68f1p-1, 0x1.3c1d71000234cp-1},
+              391968,
+              459934,
+              29792,
+              5977506752});
 }
 
 }  // namespace
