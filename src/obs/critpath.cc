@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
@@ -30,12 +32,9 @@ const char* kBlameNames[kBlameCount] = {
     "downlink", "server",   "agghold", "recovery",  "sspwait", "other",
 };
 
-struct SpanRef {
-  double t0 = 0.0;
-  double t1 = 0.0;
-  std::uint32_t label = 0;
-  std::uint32_t track = 0;
-};
+/// Ids into the tracer's event log: one track's spans or flow ends in start
+/// order, or the flow starts in flow-id order.
+using Ids = std::span<const std::uint32_t>;
 
 struct CmpSpan {
   double t0 = 0.0;
@@ -50,19 +49,6 @@ struct Interval {
   double hi = 0.0;
 };
 
-struct FlowStart {
-  std::int64_t flow = -1;
-  std::uint32_t track = 0;
-  std::uint32_t label = 0;
-  double t = 0.0;
-};
-
-struct FlowEndRef {
-  double t = 0.0;
-  std::uint32_t label = 0;
-  std::int64_t flow = -1;
-};
-
 /// Pre-parsed label: leading kind char plus the trailing integer (and
 /// whether an 'L' immediately precedes it — the message_label layer suffix).
 struct LabelInfo {
@@ -74,6 +60,14 @@ struct LabelInfo {
   /// Slice priority of the label's layer ('L' suffix only), -1 unknown.
   int priority = -1;
 };
+
+/// (kind, trailing number, 'L' suffix) packed into one key: what a lane
+/// search matches a label by.
+std::int64_t label_key(char kind, int num, bool l_suffix) {
+  return (static_cast<std::int64_t>(static_cast<unsigned char>(kind)) << 33) |
+         (static_cast<std::int64_t>(l_suffix) << 32) |
+         static_cast<std::uint32_t>(num);
+}
 
 LabelInfo parse_label(const std::string& s) {
   LabelInfo info;
@@ -105,22 +99,6 @@ bool parse_lane(const std::string& name, char& prefix, int& id,
   id = std::atoi(name.c_str() + 1);
   suffix = name.substr(i);
   return true;
-}
-
-/// Union of `v`'s intervals, given in ascending `lo` order. Touching
-/// intervals merge and empty ones drop out, so the union does not depend on
-/// the order of intervals with equal `lo`.
-std::vector<Interval> merge_intervals(const std::vector<Interval>& v) {
-  std::vector<Interval> out;
-  for (const Interval& iv : v) {
-    if (iv.hi <= iv.lo) continue;
-    if (!out.empty() && iv.lo <= out.back().hi) {
-      out.back().hi = std::max(out.back().hi, iv.hi);
-    } else {
-      out.push_back(iv);
-    }
-  }
-  return out;
 }
 
 /// Does some interval cover the instant just below `t`, and where is the
@@ -205,6 +183,44 @@ const Keyed* last_at_or_before(const Keyed* lo, const Keyed* hi, double t) {
   return it == lo ? nullptr : it - 1;
 }
 
+/// Stable LSD radix sort of `v` by the 64-bit key `key_of(e)`: one counting
+/// pass per byte in which the keys differ, so linear in v.size().
+template <class T, class KeyOf>
+void radix_sort(std::vector<T>& v, KeyOf key_of) {
+  // Flipping the sign bit maps signed order onto unsigned order.
+  const auto key = [&](const T& e) {
+    return static_cast<std::uint64_t>(key_of(e)) ^ (std::uint64_t{1} << 63);
+  };
+  std::uint64_t differ = 0;
+  for (const T& e : v) differ |= key(e) ^ key(v.front());
+  if (differ == 0) return;
+  std::vector<T> out(v.size());
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((differ >> shift) & 0xFF) == 0) continue;
+    std::array<std::size_t, 257> start{};
+    for (const T& e : v) ++start[((key(e) >> shift) & 0xFF) + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (const T& e : v) out[start[(key(e) >> shift) & 0xFF]++] = e;
+    v.swap(out);
+  }
+}
+
+/// Sorts an index by (key, t, value). Entries arrive in record order, which
+/// is almost always time order, so after a stable pass by key only a run of
+/// one key that is out of order needs sorting.
+void sort_index(std::vector<Keyed>& index) {
+  radix_sort(index, [](const Keyed& k) { return k.key; });
+  for (auto lo = index.begin(); lo != index.end();) {
+    auto hi = lo + 1;
+    bool sorted = true;
+    for (; hi != index.end() && hi->key == lo->key; ++hi) {
+      sorted = sorted && !(*hi < *(hi - 1));
+    }
+    if (!sorted) std::sort(lo, hi);
+    lo = hi;
+  }
+}
+
 /// Lane classes the walk reads, from the lane naming convention.
 enum LaneClass : std::uint8_t {
   kNoLane,
@@ -255,15 +271,22 @@ const std::vector<T>& by_id(const std::vector<std::vector<T>>& v, int id) {
 constexpr int kUnknownPriority = std::numeric_limits<int>::min();
 
 struct Graph {
+  const EventLog* log = nullptr;
   std::vector<LabelInfo> labels;
+  /// label_key of every label in the table, sorted: a lane search for a key
+  /// no label has ends before it reads a span.
+  std::vector<std::int64_t> label_keys;
   std::vector<LaneKind> lanes;  ///< per track
   /// Per track: its spans, ascending by t0 (ties in record order). Every
   /// other span view of the graph is a lookup into these.
-  std::vector<std::vector<SpanRef>> spans;
-  /// Per track: flow ends, ascending by t (ties in record order).
-  std::vector<std::vector<FlowEndRef>> flow_ends;
+  std::vector<Ids> spans;
+  /// Per track: flow ends, ascending by t0 (ties in record order).
+  std::vector<Ids> flow_ends;
   /// Flow starts ascending by id (ties in record order; the last wins).
-  std::vector<FlowStart> flow_starts;
+  Ids flow_starts;
+  /// Sorted copies behind the views above whose tracer lists were recorded
+  /// out of order; every other view reads the tracer's own list.
+  std::vector<std::vector<std::uint32_t>> sorted;
   /// Per lane class: lane number -> track, -1 where there is none.
   std::array<std::vector<std::int32_t>, kLaneClasses> track_of;
 
@@ -285,93 +308,81 @@ struct Graph {
   std::vector<int> slice_priority;  ///< slice -> first priority seen
 
   const LabelInfo& info(std::uint32_t id) const { return labels[id]; }
+  bool has_label(char kind, int num, bool l_suffix) const {
+    return std::binary_search(label_keys.begin(), label_keys.end(),
+                              label_key(kind, num, l_suffix));
+  }
+  const Event& ev(std::uint32_t id) const { return (*log)[id]; }
 
-  /// Spans of lane `id` of class `cls`; nullptr if the trace has no such
-  /// lane.
-  const std::vector<SpanRef>* lane(LaneClass cls, int id) const {
+  /// Spans of lane `id` of class `cls`; empty if the trace has no such lane.
+  Ids lane(LaneClass cls, int id) const {
     const auto& tracks = track_of[cls];
-    if (id < 0 || static_cast<std::size_t>(id) >= tracks.size()) {
-      return nullptr;
-    }
+    if (id < 0 || static_cast<std::size_t>(id) >= tracks.size()) return {};
     const std::int32_t t = tracks[static_cast<std::size_t>(id)];
-    return t < 0 ? nullptr : &spans[static_cast<std::size_t>(t)];
+    return t < 0 ? Ids{} : spans[static_cast<std::size_t>(t)];
   }
 };
 
-template <class T, class Less>
-void sort_unless_sorted(std::vector<T>& v, Less less) {
-  if (!std::is_sorted(v.begin(), v.end(), less)) {
-    std::stable_sort(v.begin(), v.end(), less);
-  }
-}
-
 /// Union of the spans on `tracks` (-1 entries skipped). Each track's spans
-/// are already in start order, so the tracks are merged, not sorted.
+/// are already in start order, so the union streams them through a merge by
+/// start time, one span at a time. Touching spans merge and empty ones drop
+/// out, so the union does not depend on the order of spans with equal
+/// starts.
 template <class Tracks>
 std::vector<Interval> busy_union(const Graph& g, const Tracks& tracks) {
-  std::vector<Interval> v;
+  std::vector<Ids> lists;
   for (const std::int32_t t : tracks) {
-    if (t < 0) continue;
-    const auto mid = static_cast<std::ptrdiff_t>(v.size());
-    for (const SpanRef& s : g.spans[static_cast<std::size_t>(t)]) {
-      v.push_back({s.t0, s.t1});
-    }
-    std::inplace_merge(
-        v.begin(), v.begin() + mid, v.end(),
-        [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+    if (t >= 0) lists.push_back(g.spans[static_cast<std::size_t>(t)]);
   }
-  return merge_intervals(v);
+  std::vector<Interval> out;
+  for (;;) {
+    Ids* next = nullptr;
+    for (Ids& list : lists) {
+      if (!list.empty() &&
+          (next == nullptr || g.ev(list.front()).t0 < g.ev(next->front()).t0)) {
+        next = &list;
+      }
+    }
+    if (next == nullptr) return out;
+    const Event& s = g.ev(next->front());
+    *next = next->subspan(1);
+    if (s.t1() <= s.t0) continue;
+    if (!out.empty() && s.t0 <= out.back().hi) {
+      out.back().hi = std::max(out.back().hi, s.t1());
+    } else {
+      out.push_back({s.t0, s.t1()});
+    }
+  }
 }
 
-/// Index the trace's spans and flows per track, and map lane classes to
-/// tracks.
-void index_events(const Tracer& tracer, Graph& g,
+/// Point the graph at the tracer's per-track lists, sorting a copy of only
+/// a list recorded out of order, and map lane classes to tracks.
+void index_tracks(const Tracer& tracer, Graph& g,
                   std::vector<std::string>& problems) {
-  const std::size_t n_tracks = tracer.tracks().size();
-  std::vector<std::size_t> n_spans(n_tracks, 0);
-  std::vector<std::size_t> n_ends(n_tracks, 0);
-  std::size_t n_starts = 0;
-  for (const Event& e : tracer.events()) {
-    if (e.kind == EventKind::kSpan) ++n_spans[e.track];
-    if (e.kind == EventKind::kFlowStart) ++n_starts;
-    if (e.kind == EventKind::kFlowEnd) ++n_ends[e.track];
+  const auto n_tracks = static_cast<std::uint32_t>(tracer.tracks().size());
+  const auto in_start_order = [&](const IdList<TimeS>& list) -> Ids {
+    if (list.in_order) return list.ids;
+    g.sorted.push_back(tracer.by_start(list));
+    return g.sorted.back();
+  };
+  g.spans.reserve(n_tracks);
+  g.flow_ends.reserve(n_tracks);
+  for (std::uint32_t t = 0; t < n_tracks; ++t) {
+    g.spans.push_back(in_start_order(tracer.spans_on(t)));
+    g.flow_ends.push_back(in_start_order(tracer.flow_ends_on(t)));
   }
-  g.spans.resize(n_tracks);
-  g.flow_ends.resize(n_tracks);
-  for (std::size_t t = 0; t < n_tracks; ++t) {
-    g.spans[t].reserve(n_spans[t]);
-    g.flow_ends[t].reserve(n_ends[t]);
-  }
-  g.flow_starts.reserve(n_starts);
-  for (const Event& e : tracer.events()) {
-    switch (e.kind) {
-      case EventKind::kSpan:
-        g.spans[e.track].push_back({e.t0, e.t1, e.label, e.track});
-        break;
-      case EventKind::kFlowStart:
-        g.flow_starts.push_back({e.flow, e.track, e.label, e.t0});
-        break;
-      case EventKind::kFlowEnd:
-        g.flow_ends[e.track].push_back({e.t0, e.label, e.flow});
-        break;
-      default:
-        break;
-    }
-  }
-  for (auto& v : g.spans) {
-    sort_unless_sorted(v, [](const SpanRef& a, const SpanRef& b) {
-      return a.t0 < b.t0;
-    });
-  }
-  for (auto& v : g.flow_ends) {
-    sort_unless_sorted(v, [](const FlowEndRef& a, const FlowEndRef& b) {
-      return a.t < b.t;
-    });
-  }
-  sort_unless_sorted(g.flow_starts,
-                     [](const FlowStart& a, const FlowStart& b) {
-                       return a.flow < b.flow;
+  const IdList<std::int64_t>& starts = tracer.flow_starts();
+  if (starts.in_order) {
+    g.flow_starts = starts.ids;
+  } else {
+    std::vector<std::uint32_t> ids = starts.ids;
+    std::stable_sort(ids.begin(), ids.end(),
+                     [&g](std::uint32_t a, std::uint32_t b) {
+                       return g.ev(a).flow() < g.ev(b).flow();
                      });
+    g.sorted.push_back(std::move(ids));
+    g.flow_starts = g.sorted.back();
+  }
 
   g.lanes.resize(n_tracks);
   for (std::size_t t = 0; t < n_tracks; ++t) {
@@ -404,14 +415,15 @@ void index_compute(const Tracer& tracer, Graph& g,
                        std::numeric_limits<double>::infinity());
   for (std::size_t w = 0; w < cmp_tracks.size(); ++w) {
     if (cmp_tracks[w] < 0) continue;
-    const auto& raw = g.spans[static_cast<std::size_t>(cmp_tracks[w])];
+    const Ids raw = g.spans[static_cast<std::size_t>(cmp_tracks[w])];
     if (raw.empty()) continue;
     g.workers.push_back(static_cast<int>(w));
     std::vector<CmpSpan>& spans = g.cmp[w];
     std::vector<double>& ends = g.iter_end[w];
     spans.reserve(raw.size());
     std::int64_t iter = -1;
-    for (const SpanRef& s : raw) {
+    for (const std::uint32_t id : raw) {
+      const Event& s = g.ev(id);
       const LabelInfo& li = g.info(s.label);
       if (li.kind != 'F' && li.kind != 'B') {
         problems.push_back("critpath: unexpected label '" +
@@ -425,21 +437,22 @@ void index_compute(const Tracer& tracer, Graph& g,
       }
       CmpSpan cs;
       cs.t0 = s.t0;
-      cs.t1 = s.t1;
+      cs.t1 = s.t1();
       cs.forward = li.kind == 'F';
       cs.layer = li.num - 1;
       cs.iter = iter;
       spans.push_back(cs);
       if (li.kind == 'B' && li.num == 1 && iter >= 0 &&
           static_cast<std::int64_t>(ends.size()) == iter) {
-        ends.push_back(s.t1);
+        ends.push_back(s.t1());
       }
     }
   }
 }
 
 /// Index the lifecycle records: one sorted (key, index) array per lookup the
-/// walk makes, and the first priority seen per slice and per layer.
+/// walk makes, each built by a stable radix pass over the records in
+/// record order, and the first priority seen per slice and per layer.
 void index_lifecycle(const Tracer& tracer, Graph& g) {
   const auto& records = tracer.lifecycle_records();
   g.records = &records;
@@ -485,9 +498,13 @@ void index_lifecycle(const Tracer& tracer, Graph& g) {
       if (p == kUnknownPriority) p = r.priority;
     }
   }
-  std::sort(g.groups.begin(), g.groups.end());
-  std::sort(g.server_recv.begin(), g.server_recv.end());
-  std::sort(g.param_ready.begin(), g.param_ready.end());
+  // Record order within a group is index order, so a stable pass by key
+  // alone sorts the groups by (key, index).
+  radix_sort(g.groups, [](const std::pair<std::int64_t, std::uint32_t>& e) {
+    return e.first;
+  });
+  sort_index(g.server_recv);
+  sort_index(g.param_ready);
 
   // A NIC span's label names its layer; the lifecycle stream supplies the
   // layer -> priority map.
@@ -503,11 +520,15 @@ void index_lifecycle(const Tracer& tracer, Graph& g) {
 
 Graph build_graph(const Tracer& tracer, std::vector<std::string>& problems) {
   Graph g;
+  g.log = &tracer.events();
   g.labels.reserve(tracer.labels().size());
   for (const std::string& text : tracer.labels()) {
     g.labels.push_back(parse_label(text));
+    const LabelInfo& li = g.labels.back();
+    g.label_keys.push_back(label_key(li.kind, li.num, li.l_suffix));
   }
-  index_events(tracer, g, problems);
+  std::sort(g.label_keys.begin(), g.label_keys.end());
+  index_tracks(tracer, g, problems);
   index_compute(tracer, g, problems);
   const auto per_lane = [&](LaneClass cls) {
     std::vector<std::vector<Interval>> out;
@@ -534,29 +555,23 @@ Graph build_graph(const Tracer& tracer, std::vector<std::string>& problems) {
 /// Latest span on the lane with a matching label whose end is <= t (+eps).
 /// Lane spans are sequential, so t1 order follows t0 order: binary-search
 /// the start times, then scan backward for the label.
-const SpanRef* find_span_ending_at(const std::vector<SpanRef>* spans,
-                                   double t, const Graph& g, char kind,
-                                   int num, bool l_suffix) {
-  if (spans == nullptr) return nullptr;
-  auto it = std::upper_bound(spans->begin(), spans->end(), t + kEps,
-                             [](double x, const SpanRef& s) {
-                               return x < s.t0;
-                             });
-  while (it != spans->begin()) {
+const Event* find_span_ending_at(Ids spans, double t, const Graph& g,
+                                 char kind, int num, bool l_suffix) {
+  if (!g.has_label(kind, num, l_suffix)) return nullptr;
+  auto it = std::upper_bound(
+      spans.begin(), spans.end(), t + kEps,
+      [&g](double x, std::uint32_t id) { return x < g.ev(id).t0; });
+  while (it != spans.begin()) {
     --it;
-    if (it->t1 > t + kEps) continue;
-    const LabelInfo& li = g.info(it->label);
+    const Event& s = g.ev(*it);
+    if (s.t1() > t + kEps) continue;
+    const LabelInfo& li = g.info(s.label);
     if (li.kind == kind && li.num == num && li.l_suffix == l_suffix) {
-      return &*it;
+      return &s;
     }
   }
   return nullptr;
 }
-
-struct LinkSource {
-  int node = -1;
-  const SpanRef* tx = nullptr;
-};
 
 // -- The backward walk ------------------------------------------------------
 
@@ -673,17 +688,16 @@ class Walker {
   /// and current_worker_ names the contributor.
   bool resolve_param_arrival(int worker, std::int64_t slice, int layer,
                              std::int64_t round) {
-    const SpanRef* rx_span = find_span_ending_at(g_.lane(kRxLane, worker),
+    const Event* rx_span = find_span_ending_at(g_.lane(kRxLane, worker),
                                                  cursor_, g_, 'p', layer,
                                                  true);
     // Only accept a params rx that ends *at* the cursor: an earlier one
     // belongs to a sibling slice and would skip real wait time.
-    if (rx_span != nullptr && rx_span->t1 < cursor_ - kEps) rx_span = nullptr;
+    if (rx_span != nullptr && rx_span->t1() < cursor_ - kEps) rx_span = nullptr;
     int src = worker;  // loopback default: the server shares the node
     if (rx_span != nullptr) {
-      const LinkSource link = follow_link(*rx_span);
-      if (link.node < 0) return stall_chain();
-      src = link.node;
+      src = follow_link(*rx_span);
+      if (src < 0) return stall_chain();
     }
     return resolve_param_source(src, worker, slice, layer, round);
   }
@@ -695,54 +709,51 @@ class Walker {
                             std::int64_t round) {
     for (int hop = 0; hop < 8; ++hop) {
       if (done()) return true;
-      const SpanRef* u = find_span_ending_at(g_.lane(kSrvLane, src), cursor_,
+      const Event* u = find_span_ending_at(g_.lane(kSrvLane, src), cursor_,
                                              g_, 'U', layer + 1, false);
-      const SpanRef* relay = find_span_ending_at(g_.lane(kRxLane, src),
+      const Event* relay = find_span_ending_at(g_.lane(kRxLane, src),
                                                  cursor_, g_, 'P', layer, true);
-      const SpanRef* pull = find_span_ending_at(g_.lane(kRxLane, src), cursor_,
+      const Event* pull = find_span_ending_at(g_.lane(kRxLane, src), cursor_,
                                                 g_, 'q', layer, true);
       // The binding predecessor is the latest-finishing candidate.
-      const SpanRef* best = u;
+      const Event* best = u;
       char kind = 'U';
-      if (relay != nullptr && (best == nullptr || relay->t1 > best->t1)) {
+      if (relay != nullptr && (best == nullptr || relay->t1() > best->t1())) {
         best = relay;
         kind = 'P';
       }
-      if (pull != nullptr && (best == nullptr || pull->t1 > best->t1)) {
+      if (pull != nullptr && (best == nullptr || pull->t1() > best->t1())) {
         best = pull;
         kind = 'q';
       }
       if (best == nullptr) return stall_chain();
       if (kind == 'U') {
-        take(best->t1, Blame::kWire);    // egress backlog after release
+        take(best->t1(), Blame::kWire);    // egress backlog after release
         take(best->t0, Blame::kServer);  // aggregation + optimizer
         return resolve_contribution(src, slice, layer, round);
       }
       if (kind == 'P') {
-        take(best->t1, Blame::kWire);
-        const LinkSource link = follow_link(*best);
-        if (link.node < 0) return stall_chain();
-        src = link.node;
+        take(best->t1(), Blame::kWire);
+        src = follow_link(*best);
+        if (src < 0) return stall_chain();
         continue;  // one relay hop closer to the server
       }
       // Pull serve: rxq wait + handling at the server, then the request's
       // journey back to the worker, then notify delivery before that.
-      take(best->t1, Blame::kServer);
-      const LinkSource plink = follow_link(*best);
-      if (plink.node < 0) return stall_chain();
+      take(best->t1(), Blame::kServer);
+      if (follow_link(*best) < 0) return stall_chain();
       Lifecycle lc;
       if (group(worker, slice, round, lc) &&
           lc.n[static_cast<std::size_t>(Stage::kPull)] > 0) {
         take(lc.first[static_cast<std::size_t>(Stage::kPull)], Blame::kWire);
       }
-      const SpanRef* notify = find_span_ending_at(g_.lane(kRxLane, worker),
+      const Event* notify = find_span_ending_at(g_.lane(kRxLane, worker),
                                                   cursor_, g_, 'n', layer,
                                                   true);
       if (notify != nullptr) {
-        take(notify->t1, Blame::kWire);  // waiting on sibling notifies
-        const LinkSource nlink = follow_link(*notify);
-        if (nlink.node < 0) return stall_chain();
-        src = nlink.node;
+        take(notify->t1(), Blame::kWire);  // waiting on sibling notifies
+        src = follow_link(*notify);
+        if (src < 0) return stall_chain();
       }
       // Either way the cursor now precedes the round's pull and notify, so
       // the next hop resolves to the server's U release.
@@ -763,23 +774,23 @@ class Walker {
     take(sr, Blame::kServer);
     // The push's rx completion precedes the rxq pop: direct ("gL") or
     // rack-combined ("aL").
-    const SpanRef* direct = find_span_ending_at(g_.lane(kRxLane, server),
+    const Event* direct = find_span_ending_at(g_.lane(kRxLane, server),
                                                 cursor_, g_, 'g', layer, true);
-    const SpanRef* combined = find_span_ending_at(g_.lane(kRxLane, server),
+    const Event* combined = find_span_ending_at(g_.lane(kRxLane, server),
                                                   cursor_, g_, 'a', layer,
                                                   true);
-    const SpanRef* rx_span = direct;
+    const Event* rx_span = direct;
     bool is_combined = false;
     if (combined != nullptr &&
-        (rx_span == nullptr || combined->t1 > rx_span->t1)) {
+        (rx_span == nullptr || combined->t1() > rx_span->t1())) {
       rx_span = combined;
       is_combined = true;
     }
     if (rx_span != nullptr) {
-      take(rx_span->t1, Blame::kServer);  // receive-queue wait
-      const LinkSource link = follow_link(*rx_span);
-      if (link.node < 0) return stall_chain();
-      return resolve_sender(link.node, slice, layer, round, is_combined);
+      take(rx_span->t1(), Blame::kServer);  // receive-queue wait
+      const int sender = follow_link(*rx_span);
+      if (sender < 0) return stall_chain();
+      return resolve_sender(sender, slice, layer, round, is_combined);
     }
     // Loopback push: the contributor shares the server's node.
     return resolve_sender(contributor, slice, layer, round, false);
@@ -818,18 +829,18 @@ class Walker {
     if (combined) {
       // Rack pre-reduction: before the combined push entered the
       // aggregator's queue it waited for the closing member contribution.
-      const SpanRef* fold = find_span_ending_at(g_.lane(kAggLane, sender),
+      const Event* fold = find_span_ending_at(g_.lane(kAggLane, sender),
                                                 cursor_, g_, 'f', layer + 1,
                                                 false);
       if (fold == nullptr) return stall_chain();
-      take(fold->t1, Blame::kAggHold);
-      const SpanRef* mrx = find_span_ending_at(g_.lane(kRxLane, sender),
+      take(fold->t1(), Blame::kAggHold);
+      const Event* mrx = find_span_ending_at(g_.lane(kRxLane, sender),
                                                cursor_, g_, 'g', layer, true);
-      if (mrx != nullptr && mrx->t1 >= fold->t1 - kEps) {
-        take(mrx->t1, Blame::kAggHold);
-        const LinkSource link = follow_link(*mrx);
-        if (link.node < 0) return stall_chain();
-        return resolve_sender(link.node, slice, layer, round, false);
+      if (mrx != nullptr && mrx->t1() >= fold->t1() - kEps) {
+        take(mrx->t1(), Blame::kAggHold);
+        const int member = follow_link(*mrx);
+        if (member < 0) return stall_chain();
+        return resolve_sender(member, slice, layer, round, false);
       }
       // The closing member was the aggregator itself (loopback fold).
       return resolve_sender(sender, slice, layer, round, false);
@@ -843,54 +854,54 @@ class Walker {
 
   /// rx span -> flow arrow -> tx span, attributing receiver serialization,
   /// in-flight time (split against switch-port busy intervals) and sender
-  /// serialization. Returns node == -1 on a broken link.
-  LinkSource follow_link(const SpanRef& rx_span) {
+  /// serialization. Returns the sending node, -1 on a broken link.
+  int follow_link(const Event& rx_span) {
     take(rx_span.t0, Blame::kWire);
-    const FlowEndRef* fe = find_flow_end(rx_span);
-    if (fe == nullptr) return {};
-    const FlowStart* f = find_flow_start(fe->flow);
-    if (f == nullptr) return {};
-    const SpanRef* tx_span = find_span_starting_at(f->track, f->t, f->label);
-    if (tx_span == nullptr) return {};
-    attribute_inflight(tx_span->t1);
+    const Event* fe = find_flow_end(rx_span);
+    if (fe == nullptr) return -1;
+    const Event* f = find_flow_start(fe->flow());
+    if (f == nullptr) return -1;
+    const Event* tx_span = find_span_starting_at(f->track, f->t0, f->label);
+    if (tx_span == nullptr) return -1;
+    attribute_inflight(tx_span->t1());
     take(tx_span->t0, Blame::kWire);
-    const int node = g_.lanes[f->track].id;
-    if (node < 0) return {};
-    LinkSource out;
-    out.node = node;
-    out.tx = tx_span;
-    return out;
+    return g_.lanes[f->track].id;
   }
 
   /// The last recorded start of flow `id`.
-  const FlowStart* find_flow_start(std::int64_t id) const {
-    const auto& starts = g_.flow_starts;
-    const auto it = std::upper_bound(
-        starts.begin(), starts.end(), id,
-        [](std::int64_t x, const FlowStart& f) { return x < f.flow; });
-    if (it == starts.begin() || (it - 1)->flow != id) return nullptr;
-    return &*(it - 1);
+  const Event* find_flow_start(std::int64_t id) const {
+    const Ids starts = g_.flow_starts;
+    const auto by_flow = [this](std::int64_t x, std::uint32_t f) {
+      return x < g_.ev(f).flow();
+    };
+    const auto it = std::upper_bound(starts.begin(), starts.end(), id, by_flow);
+    if (it == starts.begin() || g_.ev(*(it - 1)).flow() != id) return nullptr;
+    return &g_.ev(*(it - 1));
   }
 
-  const FlowEndRef* find_flow_end(const SpanRef& rx_span) {
-    const auto& ends = g_.flow_ends[rx_span.track];
+  const Event* find_flow_end(const Event& rx_span) const {
+    const Ids ends = g_.flow_ends[rx_span.track];
     auto it = std::lower_bound(
         ends.begin(), ends.end(), rx_span.t0 - kEps,
-        [](const FlowEndRef& a, double t) { return a.t < t; });
-    for (; it != ends.end() && it->t <= rx_span.t0 + kEps; ++it) {
-      if (it->label == rx_span.label) return &*it;
+        [this](std::uint32_t e, double t) { return g_.ev(e).t0 < t; });
+    for (; it != ends.end(); ++it) {
+      const Event& fe = g_.ev(*it);
+      if (fe.t0 > rx_span.t0 + kEps) break;
+      if (fe.label == rx_span.label) return &fe;
     }
     return nullptr;
   }
 
-  const SpanRef* find_span_starting_at(std::uint32_t track, double t,
-                                       std::uint32_t label) {
-    const auto& spans = g_.spans[track];
-    auto sit = std::lower_bound(
+  const Event* find_span_starting_at(std::uint32_t track, double t,
+                                     std::uint32_t label) const {
+    const Ids spans = g_.spans[track];
+    auto it = std::lower_bound(
         spans.begin(), spans.end(), t - kEps,
-        [](const SpanRef& s, double x) { return s.t0 < x; });
-    for (; sit != spans.end() && sit->t0 <= t + kEps; ++sit) {
-      if (sit->label == label) return &*sit;
+        [this](std::uint32_t s, double x) { return g_.ev(s).t0 < x; });
+    for (; it != spans.end(); ++it) {
+      const Event& s = g_.ev(*it);
+      if (s.t0 > t + kEps) break;
+      if (s.label == label) return &s;
     }
     return nullptr;
   }
@@ -921,7 +932,7 @@ class Walker {
   /// lower-priority gradients) and plain queue wait.
   void attribute_queue_wait(int node, double from, int priority) {
     const std::vector<Interval>& holds = by_id(g_.hold, node);
-    const std::vector<SpanRef>* busy = g_.lane(kTxLane, node);
+    const Ids busy = g_.lane(kTxLane, node);
     while (cursor_ > std::max(from, ws_) + kEps && steps_ <= kMaxSteps) {
       const Cover h = cover_at(holds, cursor_);
       if (h.covered) {
@@ -930,20 +941,17 @@ class Walker {
       }
       // Spans on one NIC lane are sequential, so only the last span starting
       // below the cursor can cover it.
-      const SpanRef* cover = nullptr;
+      const Event* cover = nullptr;
       double boundary = -1e300;
-      if (busy != nullptr) {
-        auto it = std::lower_bound(busy->begin(), busy->end(), cursor_,
-                                   [](const SpanRef& b, double t) {
-                                     return b.t0 < t;
-                                   });
-        if (it != busy->begin()) {
-          --it;
-          if (it->t1 >= cursor_ - kEps && it->t0 < cursor_ - kEps) {
-            cover = &*it;
-          } else {
-            boundary = std::min(it->t1, cursor_);
-          }
+      const auto it = std::lower_bound(
+          busy.begin(), busy.end(), cursor_,
+          [this](std::uint32_t b, double t) { return g_.ev(b).t0 < t; });
+      if (it != busy.begin()) {
+        const Event& b = g_.ev(*(it - 1));
+        if (b.t1() >= cursor_ - kEps && b.t0 < cursor_ - kEps) {
+          cover = &b;
+        } else {
+          boundary = std::min(b.t1(), cursor_);
         }
       }
       if (cover != nullptr) {

@@ -1,7 +1,9 @@
 #include "obs/tracer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <unordered_map>
@@ -94,6 +96,42 @@ std::int64_t make_trace_id(std::int64_t slice, std::int64_t iteration,
          (static_cast<std::int64_t>(worker) & 0xFF);
 }
 
+void EventLog::FreeChunk::operator()(Event* chunk) const {
+  std::allocator<Event>().deallocate(chunk, kChunkRecords);
+}
+
+void EventLog::add_chunk() {
+  // Ids are 32-bit; the next chunk must not hold a record past the last one.
+  if (size_ > std::numeric_limits<std::uint32_t>::max() - kChunkRecords) {
+    throw std::length_error("trace event log is full");
+  }
+  chunks_.emplace_back(std::allocator<Event>().allocate(kChunkRecords));
+}
+
+void EventLog::clear() {
+  chunks_.clear();
+  size_ = 0;
+}
+
+Event Tracer::make(EventKind kind, std::uint32_t track_id,
+                   std::uint32_t label_id, TimeS t0) {
+  Event e;
+  e.kind = kind;
+  e.track = track_id;
+  e.label = label_id;
+  e.t0 = t0;
+  return e;
+}
+
+std::vector<std::uint32_t> Tracer::by_start(const IdList<TimeS>& list) const {
+  std::vector<std::uint32_t> ids = list.ids;
+  std::stable_sort(ids.begin(), ids.end(),
+                   [this](std::uint32_t a, std::uint32_t b) {
+                     return events_[a].t0 < events_[b].t0;
+                   });
+  return ids;
+}
+
 std::uint32_t Tracer::track(const std::string& lane) {
   auto it = track_ids_.find(lane);
   if (it != track_ids_.end()) return it->second;
@@ -101,6 +139,7 @@ std::uint32_t Tracer::track(const std::string& lane) {
   const auto dot = lane.find('.');
   tracks_.push_back(
       Track{lane, dot == std::string::npos ? lane : lane.substr(0, dot)});
+  by_track_.emplace_back();
   track_ids_.emplace(lane, id);
   return id;
 }
@@ -123,14 +162,16 @@ void Tracer::span(const std::string& lane, TimeS t0, TimeS t1,
 void Tracer::span(std::uint32_t track_id, TimeS t0, TimeS t1,
                   std::uint32_t label_id) {
   if (!enabled_) return;
-  events_.push_back(Event{EventKind::kSpan, track_id, label_id, t0, t1, 0.0, -1});
+  Event e = make(EventKind::kSpan, track_id, label_id, t0);
+  e.t1_ = t1;
+  by_track_.at(track_id).spans.add(events_.push_back(e), t0);
 }
 
 void Tracer::instant(const std::string& lane, TimeS t,
                      const std::string& label_text) {
   if (!enabled_) return;
   events_.push_back(
-      Event{EventKind::kInstant, track(lane), label(label_text), t, t, 0.0, -1});
+      make(EventKind::kInstant, track(lane), label(label_text), t));
 }
 
 void Tracer::counter(const std::string& lane, TimeS t, double value) {
@@ -140,8 +181,9 @@ void Tracer::counter(const std::string& lane, TimeS t, double value) {
 
 void Tracer::counter(std::uint32_t track_id, TimeS t, double value) {
   if (!enabled_) return;
-  events_.push_back(
-      Event{EventKind::kCounter, track_id, 0, t, t, value, -1});
+  Event e = make(EventKind::kCounter, track_id, 0, t);
+  e.value_ = value;
+  events_.push_back(e);
 }
 
 void Tracer::flow_start(const std::string& lane, TimeS t, std::int64_t flow_id,
@@ -153,8 +195,9 @@ void Tracer::flow_start(const std::string& lane, TimeS t, std::int64_t flow_id,
 void Tracer::flow_start(std::uint32_t track_id, TimeS t, std::int64_t flow_id,
                         std::uint32_t label_id) {
   if (!enabled_) return;
-  events_.push_back(
-      Event{EventKind::kFlowStart, track_id, label_id, t, t, 0.0, flow_id});
+  Event e = make(EventKind::kFlowStart, track_id, label_id, t);
+  e.flow_ = flow_id;
+  flow_starts_.add(events_.push_back(e), flow_id);
 }
 
 void Tracer::flow_end(const std::string& lane, TimeS t, std::int64_t flow_id,
@@ -166,8 +209,9 @@ void Tracer::flow_end(const std::string& lane, TimeS t, std::int64_t flow_id,
 void Tracer::flow_end(std::uint32_t track_id, TimeS t, std::int64_t flow_id,
                       std::uint32_t label_id) {
   if (!enabled_) return;
-  events_.push_back(
-      Event{EventKind::kFlowEnd, track_id, label_id, t, t, 0.0, flow_id});
+  Event e = make(EventKind::kFlowEnd, track_id, label_id, t);
+  e.flow_ = flow_id;
+  by_track_.at(track_id).flow_ends.add(events_.push_back(e), t);
 }
 
 void Tracer::lifecycle(Stage stage, int worker, std::int64_t slice, int layer,
@@ -184,6 +228,8 @@ void Tracer::lifecycle(Stage stage, int worker, std::int64_t slice, int layer,
 
 void Tracer::clear() {
   events_.clear();
+  by_track_.clear();
+  flow_starts_ = {};
   tracks_.clear();
   track_ids_.clear();
   labels_.clear();
@@ -204,27 +250,27 @@ Tracer::ValidationStats Tracer::validate_accounting() const {
   for (const auto& e : events_) {
     switch (e.kind) {
       case EventKind::kSpan:
-        if (e.t1 < e.t0) {
+        if (e.t1() < e.t0) {
           stats.violations.push_back("negative-duration span '" +
                                      labels_.at(e.label) + "' on track '" +
                                      tracks_.at(e.track).name + "'");
         }
         break;
       case EventKind::kFlowStart: {
-        auto [it, inserted] = flow_starts.emplace(e.flow, e.t0);
+        auto [it, inserted] = flow_starts.emplace(e.flow(), e.t0);
         if (!inserted) it->second = std::min(it->second, e.t0);
         break;
       }
       case EventKind::kFlowEnd: {
-        auto it = flow_starts.find(e.flow);
+        auto it = flow_starts.find(e.flow());
         if (it == flow_starts.end()) {
           stats.violations.push_back("flow end without a start (id " +
-                                     std::to_string(e.flow) + ")");
+                                     std::to_string(e.flow()) + ")");
         } else if (e.t0 < it->second) {
-          stats.violations.push_back("flow " + std::to_string(e.flow) +
+          stats.violations.push_back("flow " + std::to_string(e.flow()) +
                                      " ends before it starts");
         }
-        flows_ended.insert(e.flow);
+        flows_ended.insert(e.flow());
         break;
       }
       case EventKind::kInstant:
@@ -288,7 +334,7 @@ void Tracer::write_chrome_json(std::ostream& out) const {
     switch (e.kind) {
       case EventKind::kSpan:
         emit("{\"ph\":\"X\",\"name\":" + quoted(labels_.at(e.label)) +
-             ",\"cat\":\"span\"," + loc + ",\"dur\":" + ts_us(e.t1 - e.t0) +
+             ",\"cat\":\"span\"," + loc + ",\"dur\":" + ts_us(e.t1() - e.t0) +
              "}");
         break;
       case EventKind::kInstant:
@@ -298,15 +344,15 @@ void Tracer::write_chrome_json(std::ostream& out) const {
       case EventKind::kCounter:
         emit("{\"ph\":\"C\",\"name\":" + quoted(track.name) +
              ",\"cat\":\"counter\",\"pid\":" + pid + ",\"ts\":" + ts_us(e.t0) +
-             ",\"args\":{\"value\":" + num(e.value) + "}}");
+             ",\"args\":{\"value\":" + num(e.value()) + "}}");
         break;
       case EventKind::kFlowStart:
-        emit("{\"ph\":\"s\",\"id\":" + std::to_string(e.flow) +
+        emit("{\"ph\":\"s\",\"id\":" + std::to_string(e.flow()) +
              ",\"name\":" + quoted(labels_.at(e.label)) + ",\"cat\":\"flow\"," +
              loc + "}");
         break;
       case EventKind::kFlowEnd:
-        emit("{\"ph\":\"f\",\"bp\":\"e\",\"id\":" + std::to_string(e.flow) +
+        emit("{\"ph\":\"f\",\"bp\":\"e\",\"id\":" + std::to_string(e.flow()) +
              ",\"name\":" + quoted(labels_.at(e.label)) + ",\"cat\":\"flow\"," +
              loc + "}");
         break;

@@ -1,9 +1,9 @@
 // Unified observability: deterministic, sim-time-stamped event tracer.
 //
 // One Tracer records every observable artifact of a run into an in-memory
-// pooled buffer: complete spans on named tracks, instant events, counter
-// samples, flow arrows (sender -> receiver), and structured slice-lifecycle
-// records. Renderers then consume the same buffer: `trace::Timeline` renders
+// log: complete spans on named tracks, instant events, counter samples,
+// flow arrows (sender -> receiver), and structured slice-lifecycle
+// records. Renderers then consume the same log: `trace::Timeline` renders
 // spans as an ASCII Gantt or CSV, `write_chrome_json()` exports Chrome
 // trace-event / Perfetto JSON, and `obs::analysis` derives per-priority
 // latency breakdowns from lifecycle records.
@@ -13,18 +13,23 @@
 // Perfetto process, the full name becomes the thread, so every node's
 // channels group together in the UI.
 //
-// Cost model: every record appends a POD event; strings live only in the
-// track and label tables. Cold call sites pass strings, which are hashed into
-// those tables on every call. Hot call sites (per message, per compute or
-// server step, per queue-depth change) resolve their ids through the
-// tracer's id cache instead: the site derives an integer key from the
-// name's parts (node and channel, message kind and layer) in a key space of
-// its own, and only a miss builds the string. A miss interns the string at
-// exactly the point the site would have passed it, so track and label ids
-// still follow first use and a trace is the same whichever way a site
-// names its lanes. A disabled tracer drops events after a single branch;
-// instrumentation sites additionally guard with `enabled()` so no keys or
-// strings are built either.
+// Cost model: every record appends one 32-byte event to a log of fixed-size
+// chunks that never move; strings live only in the track and label tables.
+// As it appends, the tracer files the event's id under its track (spans,
+// flow ends) or in the flow-start list and notes whether that list stayed
+// in start (flow id) order, so readers such as the critical-path engine and
+// the Gantt renderer read the per-track lists instead of copying the log.
+// Cold call sites pass strings, which are hashed into the tables on every
+// call. Hot call sites (per message, per compute or server step, per
+// queue-depth change) resolve their ids through the tracer's id cache
+// instead: the site derives an integer key from the name's parts (node and
+// channel, message kind and layer) in a key space of its own, and only a
+// miss builds the string. A miss interns the string at exactly the point
+// the site would have passed it, so track and label ids still follow first
+// use and a trace is the same whichever way a site names its lanes. A
+// disabled tracer drops events after a single branch; instrumentation
+// sites additionally guard with `enabled()` so no keys or strings are
+// built either.
 #pragma once
 
 #include <array>
@@ -32,6 +37,8 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -89,15 +96,114 @@ enum class EventKind : std::uint8_t {
   kFlowEnd,    ///< head of a flow arrow
 };
 
-/// POD event record; strings live in the intern tables.
+/// Compact event record (32 bytes); strings live in the intern tables. The
+/// end time of a span, the value of a counter and the id of a flow arrow
+/// share one slot, so each is read through an accessor that returns the
+/// neutral value for every other kind.
 struct Event {
-  EventKind kind = EventKind::kSpan;
+  TimeS t0 = 0.0;
   std::uint32_t track = 0;  ///< index into tracks()
   std::uint32_t label = 0;  ///< index into labels()
-  TimeS t0 = 0.0;
-  TimeS t1 = 0.0;           ///< spans: end time; other kinds: == t0
-  double value = 0.0;       ///< counters only
-  std::int64_t flow = -1;   ///< flow arrows only
+  EventKind kind = EventKind::kSpan;
+
+  /// Spans: end time; other kinds: t0.
+  TimeS t1() const { return kind == EventKind::kSpan ? t1_ : t0; }
+  /// Counters: the sampled value; other kinds: 0.
+  double value() const { return kind == EventKind::kCounter ? value_ : 0.0; }
+  /// Flow starts and ends: the arrow's id; other kinds: -1.
+  std::int64_t flow() const {
+    return kind == EventKind::kFlowStart || kind == EventKind::kFlowEnd
+               ? flow_
+               : -1;
+  }
+
+ private:
+  friend class Tracer;
+  union {
+    TimeS t1_ = 0.0;
+    double value_;
+    std::int64_t flow_;
+  };
+};
+static_assert(sizeof(Event) <= 32, "an event record must stay compact");
+
+/// Append-only event log in fixed-size chunks. A chunk never moves, so a
+/// record keeps its address for the life of the log, and growing the log
+/// never copies what it already holds. A record's id is its position in
+/// record order.
+class EventLog {
+ public:
+  /// Records per chunk: 32K records of 32 bytes, 1 MiB.
+  static constexpr std::size_t kChunkRecords = std::size_t{1} << 15;
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Event;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Event*;
+    using reference = const Event&;
+
+    const_iterator() = default;
+    const_iterator(const EventLog* log, std::size_t i) : log_(log), i_(i) {}
+    reference operator*() const { return (*log_)[i_]; }
+    pointer operator->() const { return &(*log_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++i_;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const EventLog* log_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Event& operator[](std::size_t id) const {
+    return chunks_[id / kChunkRecords][id % kChunkRecords];
+  }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size_}; }
+
+  /// Appends `e` and returns its id.
+  std::uint32_t push_back(const Event& e) {
+    if (size_ % kChunkRecords == 0) add_chunk();
+    std::construct_at(&chunks_.back()[size_ % kChunkRecords], e);
+    return static_cast<std::uint32_t>(size_++);
+  }
+  /// Drops every record and frees every chunk.
+  void clear();
+
+ private:
+  struct FreeChunk {
+    void operator()(Event* chunk) const;
+  };
+  void add_chunk();
+
+  std::vector<std::unique_ptr<Event[], FreeChunk>> chunks_;
+  std::size_t size_ = 0;
+};
+
+/// Ids into the event log of one family of records, in record order, and
+/// whether their keys (start time, or flow id) never decreased along it.
+template <class Key>
+struct IdList {
+  std::vector<std::uint32_t> ids;
+  bool in_order = true;
+  Key last{};  ///< key of ids.back()
+
+  void add(std::uint32_t id, Key key) {
+    in_order = in_order && (ids.empty() || !(key < last));
+    last = key;
+    ids.push_back(id);
+  }
 };
 
 struct Track {
@@ -168,7 +274,7 @@ class Tracer {
                  std::int64_t iteration, int priority, Bytes bytes, TimeS t);
 
   // -- Introspection --------------------------------------------------------
-  const std::vector<Event>& events() const { return events_; }
+  const EventLog& events() const { return events_; }
   const std::vector<Track>& tracks() const { return tracks_; }
   /// Label strings in id order.
   const std::vector<std::string>& labels() const { return labels_; }
@@ -183,6 +289,21 @@ class Tracer {
   }
   bool empty() const { return events_.empty() && lifecycle_.empty(); }
   void clear();
+
+  // -- Per-track index, kept while recording --------------------------------
+  /// Ids of the spans on `track`, keyed by start time.
+  const IdList<TimeS>& spans_on(std::uint32_t track) const {
+    return by_track_.at(track).spans;
+  }
+  /// Ids of the flow ends on `track`, keyed by their time.
+  const IdList<TimeS>& flow_ends_on(std::uint32_t track) const {
+    return by_track_.at(track).flow_ends;
+  }
+  /// Ids of every flow start, keyed by flow id.
+  const IdList<std::int64_t>& flow_starts() const { return flow_starts_; }
+  /// `list`'s ids stably sorted by start time (ties stay in record order);
+  /// only needed for a list that is not `in_order`.
+  std::vector<std::uint32_t> by_start(const IdList<TimeS>& list) const;
 
   /// Well-formedness check: spans and flows must have non-negative duration
   /// and every flow end must reference an earlier flow start with the same
@@ -233,8 +354,18 @@ class Tracer {
     return id;
   }
 
+  struct TrackIndex {
+    IdList<TimeS> spans;
+    IdList<TimeS> flow_ends;
+  };
+
+  static Event make(EventKind kind, std::uint32_t track_id,
+                    std::uint32_t label_id, TimeS t0);
+
   bool enabled_ = true;
-  std::vector<Event> events_;
+  EventLog events_;
+  std::vector<TrackIndex> by_track_;  ///< per track, grown as tracks intern
+  IdList<std::int64_t> flow_starts_;
   std::vector<Track> tracks_;
   std::unordered_map<std::string, std::uint32_t> track_ids_;
   std::vector<std::string> labels_;

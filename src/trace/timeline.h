@@ -2,14 +2,16 @@
 //
 // Historically the Timeline stored spans itself; it is now a *view* plus
 // renderer: `add()` records into an owned tracer, and every accessor derives
-// from the tracer's event buffer. Attaching its tracer to a Network or
-// Cluster (`attach_tracer(&timeline.tracer())`) therefore also captures
-// flow arrows, counters, and lifecycle records on the same tracer — export
-// them with `tracer().write_chrome_json` — while the ASCII rendering used
-// to regenerate Figs 4 and 6 stays byte-identical to the original
+// from the tracer's event log and the per-track span lists it keeps.
+// Attaching its tracer to a Network or Cluster
+// (`attach_tracer(&timeline.tracer())`) therefore also captures flow
+// arrows, counters, and lifecycle records on the same tracer — export them
+// with `tracer().write_chrome_json` — while the ASCII rendering used to
+// regenerate Figs 4 and 6 stays byte-identical to the original
 // implementation.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -34,7 +36,7 @@ class Timeline {
   bool empty() const;
   void clear() { tracer_.clear(); }
 
-  /// Spans on one lane, sorted by start time.
+  /// Spans on one lane, sorted by start time (ties in record order).
   std::vector<Span> lane_spans(const std::string& lane) const;
 
   /// Lanes in first-seen order.
@@ -60,6 +62,13 @@ class Timeline {
   const obs::Tracer& tracer() const { return tracer_; }
 
  private:
+  /// Tracks that hold spans, in first-seen order.
+  std::vector<std::uint32_t> span_tracks() const;
+  /// Ids of `track`'s spans in start order: the tracer's own list, or a
+  /// sorted copy in `sorted` if it was recorded out of order.
+  const std::vector<std::uint32_t>& by_start(
+      std::uint32_t track, std::vector<std::uint32_t>& sorted) const;
+
   obs::Tracer tracer_;
 };
 

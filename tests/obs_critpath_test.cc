@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -86,6 +88,82 @@ TEST_P(CritpathAllMethods, BlameCoversEveryIterationWindow) {
     share_sum += blame.share(static_cast<obs::Blame>(c));
   }
   EXPECT_NEAR(share_sum, 1.0, 1e-9);
+}
+
+/// `from`'s trace recorded again in reverse order: the same tables, but
+/// every track's spans and flow ends, the flow starts, and the server-receive
+/// and parameter-ready lifecycle records arrive in the opposite order. The
+/// other lifecycle records keep theirs: the walk reads a slice's sends and
+/// enqueues in record order.
+void record_reversed(const obs::Tracer& from, obs::Tracer& to) {
+  for (const obs::Track& track : from.tracks()) to.track(track.name);
+  for (const std::string& text : from.labels()) to.label(text);
+  for (std::size_t i = from.events().size(); i-- > 0;) {
+    const obs::Event& e = from.events()[i];
+    switch (e.kind) {
+      case obs::EventKind::kSpan:
+        to.span(e.track, e.t0, e.t1(), e.label);
+        break;
+      case obs::EventKind::kInstant:
+        to.instant(from.track_name(e.track), e.t0, from.label_text(e.label));
+        break;
+      case obs::EventKind::kCounter:
+        to.counter(e.track, e.t0, e.value());
+        break;
+      case obs::EventKind::kFlowStart:
+        to.flow_start(e.track, e.t0, e.flow(), e.label);
+        break;
+      case obs::EventKind::kFlowEnd:
+        to.flow_end(e.track, e.t0, e.flow(), e.label);
+        break;
+    }
+  }
+  std::vector<obs::LifecycleRecord> records = from.lifecycle_records();
+  const auto looked_up_by_time = [](const obs::LifecycleRecord& r) {
+    return r.stage == obs::Stage::kServerRecv ||
+           r.stage == obs::Stage::kParamReady;
+  };
+  std::vector<obs::LifecycleRecord> reversed;
+  std::copy_if(records.rbegin(), records.rend(), std::back_inserter(reversed),
+               looked_up_by_time);
+  auto next = reversed.begin();
+  for (obs::LifecycleRecord& r : records) {
+    if (looked_up_by_time(r)) r = *next++;
+    to.lifecycle(r.stage, r.worker, r.slice, r.layer, r.iteration, r.priority,
+                 r.bytes, r.t);
+  }
+}
+
+TEST_P(CritpathAllMethods, BlameDoesNotDependOnRecordOrder) {
+  Cluster cluster(small_workload(), base_config(GetParam()));
+  obs::Tracer tracer;
+  cluster.attach_tracer(&tracer);
+  cluster.run(1, 3);
+  obs::Tracer reversed;
+  record_reversed(tracer, reversed);
+  std::size_t unordered = 0;
+  for (std::uint32_t k = 0; k < reversed.tracks().size(); ++k) {
+    unordered += reversed.spans_on(k).in_order ? 0 : 1;
+  }
+  ASSERT_GT(unordered, 0u);
+  ASSERT_FALSE(reversed.flow_starts().in_order);
+
+  // The engine reads every list in start (flow id) order and looks the
+  // reversed lifecycle records up by time, so it sorts them all back into
+  // the order the run recorded them in.
+  const obs::BlameReport want = obs::analyze_critical_path(tracer, 1);
+  const obs::BlameReport got = obs::analyze_critical_path(reversed, 1);
+  EXPECT_TRUE(got.problems.empty());
+  EXPECT_EQ(got.chain_stalls, want.chain_stalls);
+  EXPECT_EQ(got.events_processed, want.events_processed);
+  ASSERT_EQ(got.iterations.size(), want.iterations.size());
+  for (std::size_t i = 0; i < want.iterations.size(); ++i) {
+    EXPECT_EQ(got.iterations[i].window_start, want.iterations[i].window_start);
+    EXPECT_EQ(got.iterations[i].window_end, want.iterations[i].window_end);
+    EXPECT_EQ(got.iterations[i].binding_worker,
+              want.iterations[i].binding_worker);
+    EXPECT_EQ(got.iterations[i].seconds, want.iterations[i].seconds);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, CritpathAllMethods,

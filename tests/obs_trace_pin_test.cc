@@ -95,9 +95,9 @@ Pin pin_of(const Tracer& t, const BlameReport& blame) {
     ev.pod(e.track);
     ev.pod(e.label);
     ev.f64(e.t0);
-    ev.f64(e.t1);
-    ev.f64(e.value);
-    ev.pod(e.flow);
+    ev.f64(e.t1());
+    ev.f64(e.value());
+    ev.pod(e.flow());
   }
   pin.events_digest = ev.value();
   Fnv tables;
@@ -150,13 +150,14 @@ void expect_pin(const Pin& got, const Pin& want) {
 
 struct Case {
   ps::ClusterConfig cfg;
+  int layers = 6;
   int warmup = 1;
   int measured = 3;
 };
 
-model::Workload workload() {
+model::Workload workload(int layers = 6) {
   model::Workload w;
-  w.model = model::toy_uniform(6, 150'000);
+  w.model = model::toy_uniform(layers, 150'000);
   w.batch_per_worker = 4;
   w.iter_compute_time = 0.020;
   return w;
@@ -202,10 +203,22 @@ Case rack_chaos() {
   return c;
 }
 
+/// rack_chaos() on twelve layers with the cut at 0.05 s: its trace fills
+/// more than one chunk of the tracer's log, and a drop lane records a span
+/// out of start order (a drop on the receive side logged after a later send
+/// drop at the same node), so the critical-path engine sorts one list.
+Case rack_chaos_across_chunks() {
+  Case c = rack_chaos();
+  c.layers = 12;
+  c.cfg.faults.partitions[0].start = 0.05;
+  c.cfg.faults.partitions[0].heal = 0.11;
+  return c;
+}
+
 /// Runs `c` into `tracer`, checks the run's own blame against a standalone
 /// analysis, and returns the pin.
 Pin record(const Case& c, Tracer& tracer) {
-  ps::Cluster cluster(workload(), c.cfg);
+  ps::Cluster cluster(workload(c.layers), c.cfg);
   cluster.attach_tracer(&tracer);
   const ps::RunResult r = cluster.run(c.warmup, c.measured);
   const BlameReport blame = analyze_critical_path(tracer, c.warmup);
@@ -247,6 +260,14 @@ constexpr Pin kRackChaos = {27504,
                             0xe78f4b3031f444d5ULL,
                             0x2bfb41e251ec6cbbULL,
                             0x779a97927dd7bfa8ULL};
+constexpr Pin kRackChaosAcrossChunks = {40865,
+                                        91,
+                                        185,
+                                        7095,
+                                        0xe2e0102e8ad8ab22ULL,
+                                        0xf3a54cefd39605f1ULL,
+                                        0x8d3a53e750b44c0fULL,
+                                        0x14b036be9d66a1c4ULL};
 
 TEST(TracePin, FlatBaseline) {
   expect_pin(record(flat(SyncMethod::kBaseline)), kFlatBaseline);
@@ -272,7 +293,7 @@ bool has_track(const Tracer& t, const std::string& suffix) {
 /// so each slice's home server leads it and every push is credited.
 void expect_update_spans_from_last_push(const Case& c) {
   Tracer tracer;
-  ps::Cluster cluster(workload(), c.cfg);
+  ps::Cluster cluster(workload(c.layers), c.cfg);
   cluster.attach_tracer(&tracer);
   cluster.run(c.warmup, c.measured);
   cluster.drain();
@@ -325,6 +346,31 @@ TEST(TracePin, RackChaos) {
     EXPECT_TRUE(has_track(tracer, lane)) << lane;
   }
   expect_pin(pin, kRackChaos);
+}
+
+TEST(TracePin, RackChaosAcrossChunks) {
+  Tracer tracer;
+  const Pin pin = record(rack_chaos_across_chunks(), tracer);
+  EXPECT_GT(tracer.events().size(), EventLog::kChunkRecords);
+  // The tracer's per-track flags and a scan of the log agree on which span
+  // lists left start order, and at least one did.
+  std::vector<std::string> unordered;
+  for (std::uint32_t k = 0; k < tracer.tracks().size(); ++k) {
+    double last = -1e300;
+    bool ordered = true;
+    for (const Event& e : tracer.events()) {
+      if (e.kind != EventKind::kSpan || e.track != k) continue;
+      ordered = ordered && e.t0 >= last;
+      last = e.t0;
+    }
+    EXPECT_EQ(tracer.spans_on(k).in_order, ordered) << tracer.track_name(k);
+    if (!ordered) unordered.push_back(tracer.track_name(k));
+  }
+  ASSERT_FALSE(unordered.empty());
+  for (const std::string& lane : unordered) {
+    EXPECT_TRUE(ends_with(lane, ".drop")) << lane;
+  }
+  expect_pin(pin, kRackChaosAcrossChunks);
 }
 
 TEST(TracePin, ClearedTracerMatchesFresh) {

@@ -8,8 +8,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/log.h"
+#include "common/rng.h"
 #include "obs/analysis.h"
 
 namespace p3::obs {
@@ -67,12 +69,12 @@ TEST(Tracer, RecordsAllEventKinds) {
   t.flow_end("n1.rx", 4.0, 7, "push");
   ASSERT_EQ(t.events().size(), 5u);
   EXPECT_EQ(t.events()[0].kind, EventKind::kSpan);
-  EXPECT_DOUBLE_EQ(t.events()[0].t1, 2.0);
+  EXPECT_DOUBLE_EQ(t.events()[0].t1(), 2.0);
   EXPECT_EQ(t.events()[1].kind, EventKind::kInstant);
   EXPECT_EQ(t.events()[2].kind, EventKind::kCounter);
-  EXPECT_DOUBLE_EQ(t.events()[2].value, 4.0);
+  EXPECT_DOUBLE_EQ(t.events()[2].value(), 4.0);
   EXPECT_EQ(t.events()[3].kind, EventKind::kFlowStart);
-  EXPECT_EQ(t.events()[3].flow, 7);
+  EXPECT_EQ(t.events()[3].flow(), 7);
   EXPECT_EQ(t.events()[4].kind, EventKind::kFlowEnd);
   EXPECT_TRUE(t.validate().empty());
 }
@@ -201,6 +203,207 @@ TEST(Tracer, ClearEmptiesEverything) {
   t.clear();
   EXPECT_TRUE(t.empty());
   EXPECT_TRUE(t.tracks().empty());
+}
+
+// -- The chunked log and its per-track lists ---------------------------------
+
+/// What one scripted record must read back as.
+struct Expected {
+  EventKind kind = EventKind::kSpan;
+  std::uint32_t track = 0;
+  std::uint32_t label = 0;
+  TimeS t0 = 0.0;
+  TimeS t1 = 0.0;
+  double value = 0.0;
+  std::int64_t flow = -1;
+};
+
+/// Records a seeded mix of all five kinds on eight tracks, filling more than
+/// three chunks of the log. Now and then a span or a flow end starts before
+/// the previous one on its track, and a flow start reuses an older id.
+std::vector<Expected> record_script(Tracer& t, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Expected> out;
+  const std::size_t n = 3 * EventLog::kChunkRecords + 1'234;
+  TimeS now = 0.0;
+  std::int64_t next_flow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    now += rng.uniform(0.0, 1e-4);
+    const std::string lane = "n" + std::to_string(rng.uniform_index(4)) +
+                             (rng.uniform_index(2) == 0 ? ".tx" : ".rx");
+    const std::string text = "g" + std::to_string(rng.uniform_index(5));
+    const TimeS t0 = rng.uniform_index(97) == 0 ? now - 0.01 : now;
+    Expected e;
+    e.kind = static_cast<EventKind>(rng.uniform_index(5));
+    e.track = t.track(lane);
+    e.label = t.label(text);
+    e.t0 = t0;
+    e.t1 = t0;
+    switch (e.kind) {
+      case EventKind::kSpan:
+        e.t1 = t0 + rng.uniform(0.0, 1e-3);
+        t.span(e.track, e.t0, e.t1, e.label);
+        break;
+      case EventKind::kInstant:
+        t.instant(lane, e.t0, text);
+        break;
+      case EventKind::kCounter:
+        e.label = 0;
+        e.value = rng.uniform(-5.0, 5.0);
+        t.counter(e.track, e.t0, e.value);
+        break;
+      case EventKind::kFlowStart:
+        e.flow = rng.uniform_index(53) == 0 && next_flow > 10 ? next_flow - 10
+                                                             : next_flow++;
+        t.flow_start(e.track, e.t0, e.flow, e.label);
+        break;
+      case EventKind::kFlowEnd:
+        e.flow = static_cast<std::int64_t>(
+            rng.uniform_index(static_cast<std::uint64_t>(next_flow) + 1));
+        t.flow_end(e.track, e.t0, e.flow, e.label);
+        break;
+    }
+    out.push_back(e);
+  }
+  return out;
+}
+
+void expect_record(const Event& got, const Expected& want) {
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.track, want.track);
+  EXPECT_EQ(got.label, want.label);
+  EXPECT_EQ(got.t0, want.t0);
+  EXPECT_EQ(got.t1(), want.t1);
+  EXPECT_EQ(got.value(), want.value);
+  EXPECT_EQ(got.flow(), want.flow);
+}
+
+/// Ids of the records of `kind` on `track`, in record order, by scanning
+/// the whole log.
+std::vector<std::uint32_t> scan(const Tracer& t, EventKind kind,
+                                std::uint32_t track) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t i = 0; i < t.events().size(); ++i) {
+    if (t.events()[i].kind == kind && t.events()[i].track == track) {
+      ids.push_back(i);
+    }
+  }
+  return ids;
+}
+
+std::vector<std::uint32_t> stable_by_start(const Tracer& t,
+                                           std::vector<std::uint32_t> ids) {
+  std::stable_sort(ids.begin(), ids.end(),
+                   [&t](std::uint32_t a, std::uint32_t b) {
+                     return t.events()[a].t0 < t.events()[b].t0;
+                   });
+  return ids;
+}
+
+TEST(TracerLog, RecordSizeIsCompact) { EXPECT_LE(sizeof(Event), 32u); }
+
+TEST(TracerLog, ReadsBackInRecordOrderAcrossChunks) {
+  Tracer t;
+  t.span("n0.tx", 0.0, 1.0, "first");
+  const Event* first = &t.events()[0];
+  const std::vector<Expected> rest = record_script(t, 42);
+  ASSERT_GT(t.events().size(), 3 * EventLog::kChunkRecords);
+  ASSERT_EQ(t.events().size(), rest.size() + 1);
+  // Growing the log never moved the first chunk.
+  EXPECT_EQ(&t.events()[0], first);
+  std::size_t i = 0;
+  for (const Event& e : t.events()) {
+    EXPECT_EQ(&e, &t.events()[i]);
+    if (i > 0) expect_record(e, rest[i - 1]);
+    ++i;
+  }
+  EXPECT_EQ(i, t.events().size());
+}
+
+TEST(TracerLog, AccessorsReturnNeutralValuesForOtherKinds) {
+  Tracer t;
+  record_script(t, 913);
+  std::set<EventKind> kinds;
+  for (const Event& e : t.events()) {
+    kinds.insert(e.kind);
+    if (e.kind != EventKind::kSpan) {
+      EXPECT_EQ(e.t1(), e.t0);
+    }
+    if (e.kind != EventKind::kCounter) {
+      EXPECT_EQ(e.value(), 0.0);
+    }
+    if (e.kind != EventKind::kFlowStart && e.kind != EventKind::kFlowEnd) {
+      EXPECT_EQ(e.flow(), -1);
+    }
+  }
+  EXPECT_EQ(kinds.size(), 5u);
+}
+
+TEST(TracerLog, TrackListsMatchAFilteredScan) {
+  Tracer t;
+  record_script(t, 8363);
+  int spans_out_of_order = 0;
+  int ends_out_of_order = 0;
+  for (std::uint32_t k = 0; k < t.tracks().size(); ++k) {
+    const std::vector<std::uint32_t> spans = scan(t, EventKind::kSpan, k);
+    const std::vector<std::uint32_t> ends = scan(t, EventKind::kFlowEnd, k);
+    EXPECT_EQ(t.spans_on(k).ids, spans);
+    EXPECT_EQ(t.flow_ends_on(k).ids, ends);
+    const std::vector<std::uint32_t> spans_sorted = stable_by_start(t, spans);
+    const std::vector<std::uint32_t> ends_sorted = stable_by_start(t, ends);
+    EXPECT_EQ(t.spans_on(k).in_order, spans_sorted == spans);
+    EXPECT_EQ(t.flow_ends_on(k).in_order, ends_sorted == ends);
+    EXPECT_EQ(t.by_start(t.spans_on(k)), spans_sorted);
+    EXPECT_EQ(t.by_start(t.flow_ends_on(k)), ends_sorted);
+    spans_out_of_order += t.spans_on(k).in_order ? 0 : 1;
+    ends_out_of_order += t.flow_ends_on(k).in_order ? 0 : 1;
+  }
+  // The script must exercise the sorting it checks.
+  EXPECT_GT(spans_out_of_order, 0);
+  EXPECT_GT(ends_out_of_order, 0);
+
+  std::vector<std::uint32_t> starts;
+  for (std::uint32_t i = 0; i < t.events().size(); ++i) {
+    if (t.events()[i].kind == EventKind::kFlowStart) starts.push_back(i);
+  }
+  EXPECT_EQ(t.flow_starts().ids, starts);
+  const bool ids_ascending = std::is_sorted(
+      starts.begin(), starts.end(), [&t](std::uint32_t a, std::uint32_t b) {
+        return t.events()[a].flow() < t.events()[b].flow();
+      });
+  EXPECT_FALSE(ids_ascending);
+  EXPECT_EQ(t.flow_starts().in_order, ids_ascending);
+}
+
+TEST(TracerLog, ClearedTracerMatchesFresh) {
+  Tracer reused;
+  record_script(reused, 7);
+  reused.clear();
+  EXPECT_TRUE(reused.empty());
+  EXPECT_TRUE(reused.events().empty());
+  EXPECT_TRUE(reused.flow_starts().ids.empty());
+  EXPECT_TRUE(reused.flow_starts().in_order);
+  const std::vector<Expected> want = record_script(reused, 42);
+  Tracer fresh;
+  record_script(fresh, 42);
+
+  ASSERT_EQ(reused.events().size(), fresh.events().size());
+  for (std::uint32_t i = 0; i < fresh.events().size(); ++i) {
+    expect_record(reused.events()[i], want[i]);
+    expect_record(fresh.events()[i], want[i]);
+  }
+  EXPECT_EQ(reused.labels(), fresh.labels());
+  ASSERT_EQ(reused.tracks().size(), fresh.tracks().size());
+  for (std::uint32_t k = 0; k < fresh.tracks().size(); ++k) {
+    EXPECT_EQ(reused.track_name(k), fresh.track_name(k));
+    EXPECT_EQ(reused.spans_on(k).ids, fresh.spans_on(k).ids);
+    EXPECT_EQ(reused.spans_on(k).in_order, fresh.spans_on(k).in_order);
+    EXPECT_EQ(reused.flow_ends_on(k).ids, fresh.flow_ends_on(k).ids);
+    EXPECT_EQ(reused.flow_ends_on(k).in_order,
+              fresh.flow_ends_on(k).in_order);
+  }
+  EXPECT_EQ(reused.flow_starts().ids, fresh.flow_starts().ids);
+  EXPECT_EQ(reused.flow_starts().in_order, fresh.flow_starts().in_order);
 }
 
 TEST(LogCapture, MirrorsLogLinesAsInstants) {

@@ -33,6 +33,24 @@ TEST(Timeline, LanesInFirstSeenOrder) {
   EXPECT_EQ(lanes[1], "a");
 }
 
+TEST(Timeline, LanesFollowTheirFirstSpanNotTheirFirstRecord) {
+  Timeline tl;
+  tl.tracer().counter("b", 0.0, 1.0);  // interns "b" before "a"
+  tl.add("a", 0, 1, "x");
+  tl.add("b", 0, 1, "y");
+  const auto lanes = tl.lanes();
+  ASSERT_EQ(lanes.size(), 2u);
+  EXPECT_EQ(lanes[0], "a");
+  EXPECT_EQ(lanes[1], "b");
+}
+
+TEST(Timeline, AsciiPaintsOverlapsInStartOrder) {
+  Timeline tl;
+  tl.add("l", 2.0, 4.0, "b");
+  tl.add("l", 0.0, 3.0, "a");  // recorded later, starts earlier
+  EXPECT_EQ(tl.to_ascii(1.0, 0.0, 4.0), "l |aabb|\n");
+}
+
 TEST(Timeline, LaneSpansSortedByStart) {
   Timeline tl;
   tl.add("l", 3, 4, "c");
