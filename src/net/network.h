@@ -16,7 +16,11 @@
 // NIC. Because both channels are FIFO, the deliveries into one node over one
 // channel come out in time order; each such stream gives the simulator's
 // event heap only its head, so the heap holds O(nodes) delivery events
-// however many messages are in flight.
+// however many messages are in flight. When a delivery leaves its stream,
+// the new head's message and the ring slot four items further on are
+// prefetched (sim/prefetch.h): the head's event runs much later, and when
+// many messages are alive at once its first read of the message would
+// otherwise wait on memory.
 //
 // A posted message is copied once, into a slot of the network's message
 // pool, and stays there until the protocol is done with it: the inbox carries
@@ -73,6 +77,7 @@
 #include "net/monitor.h"
 #include "net/topology.h"
 #include "obs/tracer.h"
+#include "sim/prefetch.h"
 #include "sim/queue.h"
 #include "sim/simulator.h"
 
@@ -306,10 +311,19 @@ class Network {
     Item& front() { return ring[head]; }
     Item& back() { return ring[(head + size - 1) & (ring.size() - 1)]; }
     void push(const Item& item);
+    /// Drop the head. The new head's message is read when its event runs,
+    /// and the ring is read in order, so that message and the slot
+    /// kPrefetchAhead items further on are fetched now.
     void pop() {
       head = (head + 1) & (ring.size() - 1);
       --size;
+      if (size > 0) {
+        sim::prefetch(ring[head].msg);
+        sim::prefetch(&ring[(head + kPrefetchAhead) & (ring.size() - 1)]);
+      }
     }
+
+    static constexpr std::size_t kPrefetchAhead = 4;
   };
 
   struct Nic {

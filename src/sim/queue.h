@@ -21,7 +21,12 @@
 // zeros per 64 priorities instead of sifting whole items through a heap. An
 // item whose seq is older than its list's tail (a producer re-queueing an
 // item it popped earlier, keeping its original place) is inserted at its
-// sorted place by a walk of that one list.
+// sorted place by a walk of that one list. A pop that leaves its list
+// non-empty prefetches the new head's node (sim/prefetch.h), every line of
+// it: with one queue per worker and server live at once, that node has often
+// left the cache by the next pop, which reads its `next` link first. In a
+// worker's send queue that link sits 64 bytes into the node, on another
+// line than the item's first bytes.
 #pragma once
 
 #include <bit>
@@ -33,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/prefetch.h"
 #include "sim/simulator.h"
 
 namespace p3::sim {
@@ -103,6 +109,8 @@ class RankItems {
     if (list.head == kNone) {
       list.tail = kNone;
       bits_[word] &= bits_[word] - 1;
+    } else {
+      prefetch(&nodes_[list.head]);
     }
     --size_;
     T v = std::move(nodes_[n].value);

@@ -8,8 +8,13 @@
 namespace p3::sim {
 
 // The event queue is a 4-ary min-heap over 128-bit keys: half the depth of
-// a binary heap, sift moves that compile to plain stores, and the four
-// children of a node share a cache line.
+// a binary heap, and sift moves that compile to plain stores. The root is at
+// index 0, so node i's four children span bytes 64i+16 to 64i+79 of the
+// buffer: they share one cache line only when the buffer happens to start
+// 48 bytes past a line boundary, and straddle two otherwise. Putting the
+// root at index 3 of a 64-byte-aligned buffer would keep every child set on
+// one line, but measured within noise of this layout on a heap of 334 keys,
+// the mean depth at pop of the benchmark's slowest point (EXPERIMENTS.md).
 
 Simulator::~Simulator() { clear(); }
 
@@ -73,6 +78,7 @@ void Simulator::enqueue_reserved(Key k) {
 }
 
 void Simulator::heap_push(Key k) {
+  ++heap_pushes_;
   std::size_t i = heap_.size();
   heap_.push_back(k);
   while (i > 0) {
@@ -85,6 +91,7 @@ void Simulator::heap_push(Key k) {
 }
 
 Simulator::Key Simulator::heap_pop() {
+  ++heap_pops_;
   const Key top = heap_.front();
   const Key last = heap_.back();
   heap_.pop_back();

@@ -162,6 +162,12 @@ class Simulator {
   /// Number of events executed so far (each batched event counts once).
   std::uint64_t events_executed() const { return executed_; }
 
+  /// Heap pushes and pops so far. An event that runs from an open batch
+  /// without touching the heap counts in neither; a batch member put back
+  /// by an early exit counts as a push again.
+  std::uint64_t heap_pushes() const { return heap_pushes_; }
+  std::uint64_t heap_pops() const { return heap_pops_; }
+
   /// True if no events are pending.
   bool idle() const { return heap_.empty() && !dispatching_; }
 
@@ -243,6 +249,8 @@ class Simulator {
   TimeS now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t heap_pushes_ = 0;
+  std::uint64_t heap_pops_ = 0;
   std::vector<Key> heap_;
   std::vector<EventFn> slots_;            ///< parked callbacks
   std::vector<std::uint32_t> free_slots_; ///< recycled slab indices

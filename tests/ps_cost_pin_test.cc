@@ -1,14 +1,15 @@
 // Pins what the simulator does, not only what it computes: the events it
-// executes, the messages it posts, delivers and drops, and the simulated
-// outputs of one small point per workload shape the benchmark runs (a flat
-// ResNet-50 fabric under Baseline and P3, sliced VGG-19 on four workers, and
-// two racks behind an oversubscribed ToR with rack aggregation, replicas,
-// wire loss and a healing cut), plus three small membership-plane runs that
-// move the set of workers a server waits for (a crash and restart under
-// suspicion failover, an elastic join then a planned leave, and DSSP with a
-// crash). A speed-up of the event core, the network or the protocol must
-// keep every value here exact; a change that adds or drops events fails CI
-// even when the outputs happen to survive it.
+// executes, its event-heap pushes and pops, the messages it posts, delivers
+// and drops, and the simulated outputs of one small point per workload shape
+// the benchmark runs (a flat ResNet-50 fabric under Baseline and P3, sliced
+// VGG-19 on four workers, and two racks behind an oversubscribed ToR with
+// rack aggregation, replicas, wire loss and a healing cut), plus three small
+// membership-plane runs that move the set of workers a server waits for (a
+// crash and restart under suspicion failover, an elastic join then a planned
+// leave, and DSSP with a crash). A speed-up of the event core, the network
+// or the protocol must keep every value here exact; a change that adds or
+// drops events, or moves them between the heap and an open same-time batch,
+// fails CI even when the outputs happen to survive it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 
 #include "model/compute.h"
 #include "model/zoo.h"
+#include "obs/tracer.h"
 #include "ps/cluster.h"
 
 namespace p3::ps {
@@ -27,6 +29,10 @@ using core::SyncMethod;
 struct Cost {
   std::uint64_t run_events = 0;    ///< events executed by run()
   std::uint64_t total_events = 0;  ///< after drain()
+  std::uint64_t run_heap_pushes = 0;  ///< event-heap pushes by run()
+  std::uint64_t run_heap_pops = 0;
+  std::uint64_t total_heap_pushes = 0;  ///< after drain()
+  std::uint64_t total_heap_pops = 0;
   std::int64_t posted = 0;
   std::int64_t delivered = 0;
   std::int64_t dropped = 0;
@@ -173,16 +179,23 @@ Case dssp_crash() {
   return c;
 }
 
-Cost measure(const Case& c, RunResult* result = nullptr) {
+Cost measure(const Case& c, RunResult* result = nullptr,
+             obs::Tracer* tracer = nullptr) {
   Cluster cluster(c.build(), c.cfg);
+  if (tracer != nullptr) cluster.attach_tracer(tracer);
   const RunResult r = cluster.run(c.warmup, c.measured);
   if (result != nullptr) *result = r;
   EXPECT_EQ(r.iterations_measured, c.measured);
   Cost cost;
-  cost.run_events = cluster.simulator().events_executed();
+  const sim::Simulator& sim = cluster.simulator();
+  cost.run_events = sim.events_executed();
+  cost.run_heap_pushes = sim.heap_pushes();
+  cost.run_heap_pops = sim.heap_pops();
   cluster.drain();
   const net::Network& net = cluster.network();
-  cost.total_events = cluster.simulator().events_executed();
+  cost.total_events = sim.events_executed();
+  cost.total_heap_pushes = sim.heap_pushes();
+  cost.total_heap_pops = sim.heap_pops();
   cost.posted = net.messages_posted();
   cost.delivered = net.messages_delivered();
   cost.dropped = net.messages_dropped();
@@ -200,10 +213,14 @@ Cost measure(const Case& c, RunResult* result = nullptr) {
 std::string describe(const Cost& c) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "{%llu, %llu, %lld, %lld, %lld, %lld, %a, %a, %a, %a, %lld, "
-                "%lld}",
+                "{%llu, %llu, %llu, %llu, %llu, %llu, %lld, %lld, %lld, %lld, "
+                "%a, %a, %a, %a, %lld, %lld}",
                 static_cast<unsigned long long>(c.run_events),
                 static_cast<unsigned long long>(c.total_events),
+                static_cast<unsigned long long>(c.run_heap_pushes),
+                static_cast<unsigned long long>(c.run_heap_pops),
+                static_cast<unsigned long long>(c.total_heap_pushes),
+                static_cast<unsigned long long>(c.total_heap_pops),
                 static_cast<long long>(c.posted),
                 static_cast<long long>(c.delivered),
                 static_cast<long long>(c.dropped),
@@ -218,6 +235,10 @@ void expect_cost(const Cost& got, const Cost& want) {
   SCOPED_TRACE("measured " + describe(got));
   EXPECT_EQ(got.run_events, want.run_events);
   EXPECT_EQ(got.total_events, want.total_events);
+  EXPECT_EQ(got.run_heap_pushes, want.run_heap_pushes);
+  EXPECT_EQ(got.run_heap_pops, want.run_heap_pops);
+  EXPECT_EQ(got.total_heap_pushes, want.total_heap_pushes);
+  EXPECT_EQ(got.total_heap_pops, want.total_heap_pops);
   EXPECT_EQ(got.posted, want.posted);
   EXPECT_EQ(got.delivered, want.delivered);
   EXPECT_EQ(got.dropped, want.dropped);
@@ -230,14 +251,19 @@ void expect_cost(const Cost& got, const Cost& want) {
   EXPECT_EQ(got.wire_bytes, want.wire_bytes);
 }
 
-// Events after run() and after drain(); messages posted, delivered and
-// dropped, and the drops an active cut caused; throughput, mean iteration,
-// total and stall times (exact, as hex floats); goodput and wire bytes.
+// Events after run() and after drain(); event-heap pushes and pops after
+// run() and after drain(); messages posted, delivered and dropped, and the
+// drops an active cut caused; throughput, mean iteration, total and stall
+// times (exact, as hex floats); goodput and wire bytes.
 // Events count the retransmit timers that fire and the transport's wakeups
 // that find their timer acked, never a timer discarded on its ack
 // (ps/transport.h).
 constexpr Cost kFlatBaseline = {57491,
                                 57568,
+                                35370,
+                                35367,
+                                35404,
+                                35404,
                                 16992,
                                 16992,
                                 0,
@@ -250,6 +276,10 @@ constexpr Cost kFlatBaseline = {57491,
                                 4909325504};
 constexpr Cost kFlatP3 = {115036,
                           115073,
+                          77566,
+                          77563,
+                          77584,
+                          77584,
                           28272,
                           28272,
                           0,
@@ -262,6 +292,10 @@ constexpr Cost kFlatP3 = {115036,
                           4908420288};
 constexpr Cost kSlicedVgg = {201778,
                              272163,
+                             134915,
+                             134908,
+                             182085,
+                             182085,
                              69192,
                              69192,
                              0,
@@ -274,6 +308,10 @@ constexpr Cost kSlicedVgg = {201778,
                              10201319744};
 constexpr Cost kRackChaos = {509733,
                              526521,
+                             386784,
+                             386758,
+                             399099,
+                             399099,
                              120316,
                              119025,
                              1291,
@@ -287,6 +325,10 @@ constexpr Cost kRackChaos = {509733,
 
 constexpr Cost kFailoverRestart = {28384,
                                    29211,
+                                   16053,
+                                   16021,
+                                   16470,
+                                   16470,
                                    11839,
                                    11639,
                                    200,
@@ -299,6 +341,10 @@ constexpr Cost kFailoverRestart = {28384,
                                    296962496};
 constexpr Cost kJoinThenLeave = {7267,
                                  7431,
+                                 4182,
+                                 4171,
+                                 4254,
+                                 4254,
                                  2780,
                                  2780,
                                  0,
@@ -311,6 +357,10 @@ constexpr Cost kJoinThenLeave = {7267,
                                  157673984};
 constexpr Cost kDsspCrash = {14917,
                              15622,
+                             8719,
+                             8705,
+                             9098,
+                             9098,
                              5788,
                              5778,
                              10,
@@ -370,6 +420,26 @@ TEST(CostPin, DsspCrash) {
   EXPECT_GT(r.dssp_gate_blocks, 0);
   EXPECT_EQ(r.staleness_violations, 0);
   expect_cost(cost, kDsspCrash);
+}
+
+// An attached tracer that is switched off must cost nothing but its
+// `enabled()` checks: it records nothing, and the run executes and queues
+// exactly the events, and posts exactly the messages, of a run with no
+// tracer, with the same outputs.
+void expect_disabled_tracer_inert(const Case& c) {
+  obs::Tracer tracer;
+  tracer.set_enabled(false);
+  const Cost with = measure(c, nullptr, &tracer);
+  EXPECT_TRUE(tracer.empty());
+  expect_cost(with, measure(c));
+}
+
+TEST(CostPinDisabledTracer, FlatResNetBaseline) {
+  expect_disabled_tracer_inert(flat_resnet(SyncMethod::kBaseline));
+}
+
+TEST(CostPinDisabledTracer, RackChaos) {
+  expect_disabled_tracer_inert(rack_chaos());
 }
 
 }  // namespace

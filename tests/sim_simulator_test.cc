@@ -194,6 +194,26 @@ TEST(Simulator, CountsEventsAppendedToAnOpenBatch) {
   EXPECT_EQ(sim.events_executed(), 6u);
 }
 
+TEST(Simulator, CountsHeapPushesAndPops) {
+  Simulator sim;
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule(1.0, [&] { sim.schedule(0.0, [] {}); });
+  }
+  sim.schedule(2.0, [] {});
+  EXPECT_EQ(sim.heap_pushes(), 4u);
+  EXPECT_EQ(sim.heap_pops(), 0u);
+  // Stop after the first event: the second and third, and the zero-delay
+  // event the first appended, go back on the heap.
+  EXPECT_TRUE(sim.run_while([&] { return sim.events_executed() == 1; }));
+  EXPECT_EQ(sim.heap_pushes(), 7u);
+  EXPECT_EQ(sim.heap_pops(), 3u);
+  // The appended events of a batch never touch the heap.
+  sim.run();
+  EXPECT_EQ(sim.events_executed(), 7u);
+  EXPECT_EQ(sim.heap_pushes(), 7u);
+  EXPECT_EQ(sim.heap_pops(), 7u);
+}
+
 TEST(Simulator, ZeroDelayChainsPreserveFifoOrderUnderStress) {
   // 10k zero-delay events at the same timestamp, half scheduled up front
   // and half appended from inside the running batch; (time, seq) order
