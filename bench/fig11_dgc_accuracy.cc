@@ -11,7 +11,10 @@
 // Paper observations: P3's accuracy band always sits above DGC's; average
 // final-accuracy drop with DGC ~0.4%.
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "bench_util.h"
@@ -32,27 +35,35 @@ struct Band {
   double final_mean = 0.0;
 };
 
-Band run_mode(const train::Dataset& data, AggregationMode mode, int epochs,
-              int record_from, const std::vector<train::SgdConfig>& settings) {
+/// One training run of `mode` under setting `s`; runs share only `data`.
+std::vector<train::EpochStat> train_setting(const train::Dataset& data,
+                                            AggregationMode mode, int epochs,
+                                            const train::SgdConfig& sgd,
+                                            std::size_t s) {
+  train::TrainerConfig cfg;
+  cfg.n_workers = 4;
+  cfg.batch_per_worker = 32;
+  cfg.epochs = epochs;
+  cfg.hidden = {48, 48};
+  cfg.sgd = sgd;
+  cfg.mode = mode;
+  cfg.dgc.sparsity = 0.999;  // the paper's DGC configuration
+  cfg.dgc.momentum = sgd.momentum;
+  cfg.dgc.warmup_epochs = 4;
+  cfg.seed = 1000 + s;
+  train::ParallelTrainer trainer(data, cfg);
+  return trainer.train();
+}
+
+/// The accuracy band over one mode's runs, folded in settings order.
+Band reduce_band(std::span<const std::vector<train::EpochStat>> runs,
+                 int epochs, int record_from) {
   Band band;
   const auto recorded = static_cast<std::size_t>(epochs - record_from);
   band.lo.assign(recorded, 1.0);
   band.hi.assign(recorded, 0.0);
   double final_sum = 0.0;
-  for (std::size_t s = 0; s < settings.size(); ++s) {
-    train::TrainerConfig cfg;
-    cfg.n_workers = 4;
-    cfg.batch_per_worker = 32;
-    cfg.epochs = epochs;
-    cfg.hidden = {48, 48};
-    cfg.sgd = settings[s];
-    cfg.mode = mode;
-    cfg.dgc.sparsity = 0.999;  // the paper's DGC configuration
-    cfg.dgc.momentum = settings[s].momentum;
-    cfg.dgc.warmup_epochs = 4;
-    cfg.seed = 1000 + s;
-    train::ParallelTrainer trainer(data, cfg);
-    const auto stats = trainer.train();
+  for (const auto& stats : runs) {
     for (std::size_t e = static_cast<std::size_t>(record_from);
          e < stats.size(); ++e) {
       const auto i = e - static_cast<std::size_t>(record_from);
@@ -62,7 +73,7 @@ Band run_mode(const train::Dataset& data, AggregationMode mode, int epochs,
     band.final_best = std::max(band.final_best, stats.back().val_accuracy);
     final_sum += stats.back().val_accuracy;
   }
-  band.final_mean = final_sum / static_cast<double>(settings.size());
+  band.final_mean = final_sum / static_cast<double>(runs.size());
   return band;
 }
 
@@ -99,10 +110,25 @@ int main(int argc, char** argv) {
     settings.push_back(sgd);
   }
 
+  // The ten runs (each mode under each setting) are independent, so they
+  // fan out over --threads; results come back in submission order.
+  const std::array<AggregationMode, 2> modes = {AggregationMode::kFullSync,
+                                                AggregationMode::kDgc};
+  std::vector<std::function<std::vector<train::EpochStat>()>> jobs;
+  for (const AggregationMode mode : modes) {
+    for (std::size_t s = 0; s < settings.size(); ++s) {
+      jobs.push_back([&data, mode, epochs, &settings, s] {
+        return train_setting(data, mode, epochs, settings[s], s);
+      });
+    }
+  }
+  runner::ParallelExecutor executor(opts.measure().threads);
+  const auto runs = executor.map(std::move(jobs));
+  const std::span<const std::vector<train::EpochStat>> all(runs);
   const Band p3_band =
-      run_mode(data, AggregationMode::kFullSync, epochs, record_from, settings);
+      reduce_band(all.first(settings.size()), epochs, record_from);
   const Band dgc_band =
-      run_mode(data, AggregationMode::kDgc, epochs, record_from, settings);
+      reduce_band(all.subspan(settings.size()), epochs, record_from);
 
   Table table({"epoch", "P3 min", "P3 max", "DGC min", "DGC max"});
   CsvWriter csv(p3::bench::out("fig11_accuracy_band.csv"),

@@ -1,6 +1,7 @@
 #include "obs/analysis.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -43,6 +44,24 @@ struct Group {
 };
 
 constexpr auto S = [](Stage s) { return static_cast<std::size_t>(s); };
+
+/// The whole of `text` as a T; a partial parse, or a value T cannot hold,
+/// throws std::invalid_argument naming `field`.
+template <class T>
+T parse_field(const std::string& text, const char* field) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument(std::string(field) + " '" + text +
+                                "' is out of range");
+  }
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(std::string(field) + " '" + text +
+                                "' is not a number");
+  }
+  return v;
+}
 
 /// Deterministic group index over the record stream.
 std::map<GroupKey, Group> group_records(
@@ -128,7 +147,7 @@ Report analyze(const std::vector<LifecycleRecord>& records) {
     }
     w.area += static_cast<double>(w.depth) * (r.t - w.last_t);
     w.last_t = r.t;
-    const auto key = std::make_pair(r.slice, r.iteration);
+    const std::pair<std::int32_t, std::int64_t> key{r.slice, r.iteration};
     if (r.stage == Stage::kEnqueue) {
       Pending& p = w.pending[key];
       ++p.fragments;
@@ -228,13 +247,13 @@ std::vector<LifecycleRecord> load_lifecycle_csv(const std::string& path) {
     try {
       LifecycleRecord r;
       r.stage = parse_stage(fields[0]);
-      r.worker = std::stoi(fields[1]);
-      r.slice = static_cast<std::int32_t>(std::stol(fields[2]));
-      r.layer = static_cast<std::int32_t>(std::stol(fields[3]));
-      r.iteration = std::stoll(fields[4]);
-      r.priority = std::stoi(fields[5]);
-      r.bytes = std::stoll(fields[6]);
-      r.t = std::stod(fields[7]);
+      r.worker = parse_field<std::int16_t>(fields[1], "worker");
+      r.slice = parse_field<std::int32_t>(fields[2], "slice");
+      r.layer = parse_field<std::int16_t>(fields[3], "layer");
+      r.iteration = parse_field<std::int32_t>(fields[4], "iteration");
+      r.priority = parse_field<std::int16_t>(fields[5], "priority");
+      r.bytes = parse_field<Bytes>(fields[6], "bytes");
+      r.t = parse_field<TimeS>(fields[7], "t");
       records.push_back(r);
     } catch (const std::exception& e) {
       throw std::runtime_error(path + ":" + std::to_string(line_no) + ": " +

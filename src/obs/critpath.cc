@@ -1,6 +1,8 @@
 #include "obs/critpath.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -13,6 +15,8 @@
 #include <stdexcept>
 #include <tuple>
 #include <utility>
+
+#include "sim/prefetch.h"
 
 namespace p3::obs {
 
@@ -134,91 +138,233 @@ struct Lifecycle {
   std::vector<double> enqueues;  ///< every kEnqueue time, in record order
 };
 
-bool walk_reads(Stage s) {
-  return s == Stage::kGradReady || s == Stage::kEnqueue ||
-         s == Stage::kSend || s == Stage::kPull;
+/// The walk's three lookups into the lifecycle records; each stage feeds at
+/// most one of them.
+enum Lookup : std::uint8_t {
+  kGroupLookup,  ///< the stages of one (worker, slice, iteration) it reads
+  kRecvLookup,   ///< every kServerRecv of one (slice, iteration)
+  kReadyLookup,  ///< every kParamReady of one (worker, layer, iteration)
+  kLookups,
+};
+
+/// The lookup `s` feeds; kLookups for a stage the walk never looks up.
+Lookup lookup_of(Stage s) {
+  static constexpr std::array<Lookup, kNumStages> kLookupOf = {
+      kGroupLookup,  // kGradReady
+      kGroupLookup,  // kEnqueue
+      kGroupLookup,  // kSend
+      kRecvLookup,   // kServerRecv
+      kLookups,      // kAggregate
+      kLookups,      // kNotify
+      kGroupLookup,  // kPull
+      kReadyLookup,  // kParamReady
+  };
+  return kLookupOf[static_cast<std::size_t>(s)];
 }
 
-std::int64_t group_key(int worker, std::int64_t slice, std::int64_t iter) {
-  return make_trace_id(slice, iter, worker);
+/// A lookup's key fields, each masked to the width the walk keys it by
+/// (make_trace_id's for a group).
+using Fields = std::array<std::uint64_t, 3>;
+
+Fields group_fields(std::int64_t worker, std::int64_t slice,
+                    std::int64_t iter) {
+  return {static_cast<std::uint64_t>(worker) & 0xFF,
+          static_cast<std::uint64_t>(iter) & 0xFFFFFFF,
+          static_cast<std::uint64_t>(slice) & 0x3FFFFFF};
 }
 
-std::int64_t slice_iter_key(std::int64_t slice, std::int64_t iter) {
-  return ((slice & 0x3FFFFFF) << 30) | (iter & 0x3FFFFFFF);
+Fields recv_fields(std::int64_t slice, std::int64_t iter) {
+  return {static_cast<std::uint64_t>(iter) & 0x3FFFFFFF,
+          static_cast<std::uint64_t>(slice) & 0x3FFFFFF, 0};
 }
 
-std::int64_t gate_key(int worker, int layer, std::int64_t iter) {
-  return ((static_cast<std::int64_t>(layer) & 0xFFFF) << 40) |
-         ((iter & 0xFFFFFFFF) << 8) | (worker & 0xFF);
+Fields ready_fields(std::int64_t worker, std::int64_t layer,
+                    std::int64_t iter) {
+  return {static_cast<std::uint64_t>(worker) & 0xFF,
+          static_cast<std::uint64_t>(iter) & 0xFFFFFFFF,
+          static_cast<std::uint64_t>(layer) & 0xFFFF};
 }
 
-/// A lifecycle record filed under `key`; `value` is the contributor
-/// (server-recv index) or the slice (param-ready index).
-struct Keyed {
-  std::int64_t key = 0;
-  double t = 0.0;
-  std::int64_t value = 0;
+/// Every lookup's fields of `r`, and zeros at kLookups: a record picks its
+/// own by indexing with its lookup, not by branching on it.
+std::array<Fields, kLookups + 1> all_fields(const LifecycleRecord& r) {
+  return {group_fields(r.worker, r.slice, r.iteration),
+          recv_fields(r.slice, r.iteration),
+          ready_fields(r.worker, r.layer, r.iteration), Fields{}};
+}
 
-  bool operator<(const Keyed& o) const {
-    return std::tie(key, t, value) < std::tie(o.key, o.t, o.value);
+Fields fields_of(Lookup lookup, const LifecycleRecord& r) {
+  return all_fields(r)[lookup];
+}
+
+/// One lookup's index: the indices of the records it holds, sorted by a
+/// key packed from their fields (ties in record order, unless reordered by
+/// order_runs). The key gives each field only the bits its largest
+/// recorded value needs, so two records share a key exactly when their
+/// fields are equal, and a sort by key takes as few radix passes as the
+/// trace allows.
+struct RecordIndex {
+  Fields max{};  ///< largest recorded value of each field
+  std::array<int, 3> shift{};
+  int bits = 0;
+  std::vector<std::uint32_t> ids;
+
+  /// Lays the key out once `max` holds every record's fields.
+  void pack() {
+    for (std::size_t i = 0; i < max.size(); ++i) {
+      shift[i] = bits;
+      bits += std::bit_width(max[i]);
+    }
+  }
+  /// The key of a recorded record's fields.
+  std::int64_t packed(const Fields& f) const {
+    return static_cast<std::int64_t>(f[0] << shift[0] | f[1] << shift[1] |
+                                     f[2] << shift[2]);
+  }
+  /// The key of any `f`; -1, which no record has, where a field is larger
+  /// than every recorded one.
+  std::int64_t key(const Fields& f) const {
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      if (f[i] > max[i]) return -1;
+    }
+    return packed(f);
   }
 };
 
-/// Entries under `key` of an index sorted by (key, t, value).
-std::pair<const Keyed*, const Keyed*> entries(const std::vector<Keyed>& index,
-                                              std::int64_t key) {
-  const Keyed* lo = std::lower_bound(
-      index.data(), index.data() + index.size(), key,
-      [](const Keyed& k, std::int64_t x) { return k.key < x; });
-  const Keyed* hi = std::upper_bound(
-      lo, index.data() + index.size(), key,
-      [](std::int64_t x, const Keyed& k) { return x < k.key; });
+using Lookups = std::array<RecordIndex, kLookups>;
+
+/// Radix digits are at most this wide, so one digit's counts stay in L1.
+constexpr int kMaxDigitBits = 11;
+
+/// Sorts every lookup's record indices by key with an LSD radix sort, all
+/// lookups over the same number of digits. The one pass over the records
+/// files each record's index under its lookup and counts its digits, with
+/// no branch on the lookup: records no lookup reads go to a sink. Each
+/// lookup's first sorting pass then reads its records in record order, and
+/// each later pass reads the records it moves; the indices hold no keys,
+/// and a second array exists only while a lookup is sorted. Each lookup's
+/// `max` holds its records' largest fields, and its `ids` one slot per
+/// record it holds.
+void sort_lookups(const std::vector<LifecycleRecord>& records,
+                  Lookups& lookups) {
+  RecordIndex none;  // the sink's: every field 0, key 0
+  std::array<const RecordIndex*, kLookups + 1> index{};
+  int passes = 0;
+  for (std::size_t l = 0; l < kLookups; ++l) {
+    lookups[l].pack();
+    index[l] = &lookups[l];
+    passes = std::max(passes,
+                      (lookups[l].bits + kMaxDigitBits - 1) / kMaxDigitBits);
+  }
+  index[kLookups] = &none;
+  // Per lookup and the sink: digit width, and counts per pass and digit.
+  std::array<int, kLookups + 1> width{};
+  std::array<std::vector<std::uint32_t>, kLookups + 1> start;
+  for (std::size_t l = 0; l <= kLookups; ++l) {
+    width[l] = passes == 0 ? 0 : (index[l]->bits + passes - 1) / passes;
+    start[l].assign(static_cast<std::size_t>(passes) << width[l], 0);
+  }
+  // Digit `p` of `key` under lookup `l`'s width, and pass `p`'s counts.
+  const auto digit = [&width](std::size_t l, std::int64_t key, int p) {
+    const auto mask = (std::uint64_t{1} << width[l]) - 1;
+    return (static_cast<std::uint64_t>(key) >> (p * width[l])) & mask;
+  };
+  const auto counts = [&](std::size_t l, int p) {
+    return start[l].data() + (static_cast<std::size_t>(p) << width[l]);
+  };
+  std::uint32_t sink = 0;
+  std::array<std::uint32_t*, kLookups + 1> out{};
+  for (std::size_t l = 0; l < kLookups; ++l) out[l] = lookups[l].ids.data();
+  out[kLookups] = &sink;
+  std::array<std::uint32_t, kLookups + 1> next{};
+  for (std::uint32_t i = 0; i < records.size(); ++i) {
+    const LifecycleRecord& r = records[i];
+    const Lookup l = lookup_of(r.stage);
+    const std::int64_t key = index[l]->packed(all_fields(r)[l]);
+    for (int p = 0; p < passes; ++p) ++counts(l, p)[digit(l, key, p)];
+    out[l][next[l]] = i;
+    next[l] += l == kLookups ? 0 : 1;
+  }
+  std::vector<std::uint32_t> scratch;
+  for (std::size_t l = 0; l < kLookups; ++l) {
+    std::vector<std::uint32_t>& ids = lookups[l].ids;
+    const auto lookup = static_cast<Lookup>(l);
+    const std::size_t buckets = std::size_t{1} << width[l];
+    for (int p = 0; p < passes; ++p) {
+      std::uint32_t* const s = counts(l, p);
+      // Every key has the same digit here: the pass would move nothing.
+      if (std::find(s, s + buckets, ids.size()) != s + buckets) continue;
+      std::exclusive_scan(s, s + buckets, s, std::uint32_t{0});
+      scratch.resize(ids.size());
+      // After the first pass the records a pass reads are scattered: fetch
+      // a few ahead.
+      constexpr std::size_t kAhead = 16;
+      for (std::size_t j = 0; j < ids.size(); ++j) {
+        if (j + kAhead < ids.size()) sim::prefetch(&records[ids[j + kAhead]]);
+        const std::uint32_t i = ids[j];
+        const std::int64_t key =
+            lookups[l].packed(fields_of(lookup, records[i]));
+        scratch[s[digit(l, key, p)]++] = i;
+      }
+      ids.swap(scratch);
+    }
+  }
+}
+
+/// Orders each run of equal keys of `index` by the records' (t, value_of)
+/// pair. Records arrive in record order, which is almost always time order,
+/// so only a run that is out of order is sorted; the record index breaks
+/// ties, so equal pairs keep record order.
+template <class ValueOf>
+void order_runs(const std::vector<LifecycleRecord>& records, Lookup lookup,
+                RecordIndex& index, ValueOf value_of) {
+  const auto key_of = [&](std::uint32_t i) {
+    return index.packed(fields_of(lookup, records[i]));
+  };
+  const auto before = [&](std::uint32_t a, std::uint32_t b) {
+    const LifecycleRecord& ra = records[a];
+    const LifecycleRecord& rb = records[b];
+    return std::tuple(ra.t, value_of(ra), a) <
+           std::tuple(rb.t, value_of(rb), b);
+  };
+  std::vector<std::uint32_t>& ids = index.ids;
+  for (auto lo = ids.begin(); lo != ids.end();) {
+    const std::int64_t key = key_of(*lo);
+    auto hi = lo + 1;
+    bool sorted = true;
+    for (; hi != ids.end() && key_of(*hi) == key; ++hi) {
+      sorted = sorted && !before(*hi, *(hi - 1));
+    }
+    if (!sorted) std::sort(lo, hi, before);
+    lo = hi;
+  }
+}
+
+/// The run of `lookup`'s index whose records have fields `f`.
+Ids records_under(const std::vector<LifecycleRecord>& records,
+                  const Lookups& lookups, Lookup lookup, const Fields& f) {
+  const RecordIndex& index = lookups[lookup];
+  const std::int64_t key = index.key(f);
+  const auto key_of = [&](std::uint32_t i) {
+    return index.packed(fields_of(lookup, records[i]));
+  };
+  const auto lo = std::lower_bound(
+      index.ids.begin(), index.ids.end(), key,
+      [&](std::uint32_t i, std::int64_t k) { return key_of(i) < k; });
+  const auto hi = std::upper_bound(
+      lo, index.ids.end(), key,
+      [&](std::int64_t k, std::uint32_t i) { return k < key_of(i); });
   return {lo, hi};
 }
 
-/// Latest entry of [lo, hi) at or before `t`, nullptr if none.
-const Keyed* last_at_or_before(const Keyed* lo, const Keyed* hi, double t) {
-  const Keyed* it = std::upper_bound(
-      lo, hi, t, [](double x, const Keyed& k) { return x < k.t; });
-  return it == lo ? nullptr : it - 1;
-}
-
-/// Stable LSD radix sort of `v` by the 64-bit key `key_of(e)`: one counting
-/// pass per byte in which the keys differ, so linear in v.size().
-template <class T, class KeyOf>
-void radix_sort(std::vector<T>& v, KeyOf key_of) {
-  // Flipping the sign bit maps signed order onto unsigned order.
-  const auto key = [&](const T& e) {
-    return static_cast<std::uint64_t>(key_of(e)) ^ (std::uint64_t{1} << 63);
-  };
-  std::uint64_t differ = 0;
-  for (const T& e : v) differ |= key(e) ^ key(v.front());
-  if (differ == 0) return;
-  std::vector<T> out(v.size());
-  for (int shift = 0; shift < 64; shift += 8) {
-    if (((differ >> shift) & 0xFF) == 0) continue;
-    std::array<std::size_t, 257> start{};
-    for (const T& e : v) ++start[((key(e) >> shift) & 0xFF) + 1];
-    std::partial_sum(start.begin(), start.end(), start.begin());
-    for (const T& e : v) out[start[(key(e) >> shift) & 0xFF]++] = e;
-    v.swap(out);
-  }
-}
-
-/// Sorts an index by (key, t, value). Entries arrive in record order, which
-/// is almost always time order, so after a stable pass by key only a run of
-/// one key that is out of order needs sorting.
-void sort_index(std::vector<Keyed>& index) {
-  radix_sort(index, [](const Keyed& k) { return k.key; });
-  for (auto lo = index.begin(); lo != index.end();) {
-    auto hi = lo + 1;
-    bool sorted = true;
-    for (; hi != index.end() && hi->key == lo->key; ++hi) {
-      sorted = sorted && !(*hi < *(hi - 1));
-    }
-    if (!sorted) std::sort(lo, hi);
-    lo = hi;
-  }
+/// Latest record of `run` (ascending by t) at or before `t`, nullptr if
+/// none.
+const LifecycleRecord* last_at_or_before(
+    const std::vector<LifecycleRecord>& records, Ids run, double t) {
+  const auto it = std::upper_bound(
+      run.begin(), run.end(), t,
+      [&](double x, std::uint32_t i) { return x < records[i].t; });
+  return it == run.begin() ? nullptr : &records[*(it - 1)];
 }
 
 /// Lane classes the walk reads, from the lane naming convention.
@@ -299,12 +445,9 @@ struct Graph {
   std::vector<Interval> up_busy, dn_busy;
 
   const std::vector<LifecycleRecord>* records = nullptr;
-  /// (group_key, record index) of the records the walk reads, sorted.
-  std::vector<std::pair<std::int64_t, std::uint32_t>> groups;
-  /// slice_iter_key -> (t, worker) of every kServerRecv.
-  std::vector<Keyed> server_recv;
-  /// gate_key -> (t, slice) of every kParamReady.
-  std::vector<Keyed> param_ready;
+  /// Per lookup: record indices sorted by key. kRecvLookup's runs are then
+  /// ordered by (t, worker) and kReadyLookup's by (t, slice).
+  Lookups lookups;
   std::vector<int> slice_priority;  ///< slice -> first priority seen
 
   const LabelInfo& info(std::uint32_t id) const { return labels[id]; }
@@ -450,61 +593,50 @@ void index_compute(const Tracer& tracer, Graph& g,
   }
 }
 
-/// Index the lifecycle records: one sorted (key, index) array per lookup the
-/// walk makes, each built by a stable radix pass over the records in
-/// record order, and the first priority seen per slice and per layer.
+/// Index the lifecycle records: one array of record indices per lookup the
+/// walk makes, sorted by the key the lookup reads from the record, and the
+/// first priority seen per slice and per layer.
 void index_lifecycle(const Tracer& tracer, Graph& g) {
   const auto& records = tracer.lifecycle_records();
-  g.records = &records;
-  std::size_t n_groups = 0;
-  std::size_t n_recv = 0;
-  std::size_t n_ready = 0;
-  std::int32_t max_slice = -1;
-  std::int32_t max_layer = -1;
-  for (const LifecycleRecord& r : records) {
-    n_groups += walk_reads(r.stage) ? 1 : 0;
-    n_recv += r.stage == Stage::kServerRecv ? 1 : 0;
-    n_ready += r.stage == Stage::kParamReady ? 1 : 0;
-    max_slice = std::max(max_slice, r.slice);
-    max_layer = std::max(max_layer, r.layer);
+  if (records.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("critpath: too many lifecycle records to index");
   }
-  g.groups.reserve(n_groups);
-  g.server_recv.reserve(n_recv);
-  g.param_ready.reserve(n_ready);
-  g.slice_priority.assign(static_cast<std::size_t>(max_slice + 1),
-                          kUnknownPriority);
-  std::vector<int> layer_priority(static_cast<std::size_t>(max_layer + 1),
-                                  kUnknownPriority);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const LifecycleRecord& r = records[i];
-    if (walk_reads(r.stage)) {
-      g.groups.emplace_back(group_key(r.worker, r.slice, r.iteration),
-                            static_cast<std::uint32_t>(i));
-    }
-    if (r.stage == Stage::kServerRecv) {
-      g.server_recv.push_back(
-          {slice_iter_key(r.slice, r.iteration), r.t, r.worker});
-    }
-    if (r.stage == Stage::kParamReady) {
-      g.param_ready.push_back(
-          {gate_key(r.worker, r.layer, r.iteration), r.t, r.slice});
-    }
+  g.records = &records;
+  std::vector<int> layer_priority;
+  const auto first_seen = [](std::vector<int>& priority, std::size_t at,
+                             int p) {
+    if (at >= priority.size()) priority.resize(at + 1, kUnknownPriority);
+    if (priority[at] == kUnknownPriority) priority[at] = p;
+  };
+  // Per lookup, and at kLookups for the records none reads: how many
+  // records it holds and the largest value of each field.
+  std::array<std::uint32_t, kLookups + 1> count{};
+  std::array<Fields, kLookups + 1> max{};
+  for (const LifecycleRecord& r : records) {
     if (r.slice >= 0) {
-      int& p = g.slice_priority[static_cast<std::size_t>(r.slice)];
-      if (p == kUnknownPriority) p = r.priority;
+      first_seen(g.slice_priority, static_cast<std::size_t>(r.slice),
+                 r.priority);
     }
     if (r.layer >= 0) {
-      int& p = layer_priority[static_cast<std::size_t>(r.layer)];
-      if (p == kUnknownPriority) p = r.priority;
+      first_seen(layer_priority, static_cast<std::size_t>(r.layer),
+                 r.priority);
     }
+    const Lookup l = lookup_of(r.stage);
+    const Fields f = all_fields(r)[l];
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      max[l][i] = std::max(max[l][i], f[i]);
+    }
+    ++count[l];
   }
-  // Record order within a group is index order, so a stable pass by key
-  // alone sorts the groups by (key, index).
-  radix_sort(g.groups, [](const std::pair<std::int64_t, std::uint32_t>& e) {
-    return e.first;
-  });
-  sort_index(g.server_recv);
-  sort_index(g.param_ready);
+  for (std::size_t l = 0; l < kLookups; ++l) {
+    g.lookups[l].max = max[l];
+    g.lookups[l].ids.resize(count[l]);
+  }
+  sort_lookups(records, g.lookups);
+  order_runs(records, kRecvLookup, g.lookups[kRecvLookup],
+             [](const LifecycleRecord& r) { return r.worker; });
+  order_runs(records, kReadyLookup, g.lookups[kReadyLookup],
+             [](const LifecycleRecord& r) { return r.slice; });
 
   // A NIC span's label names its layer; the lifecycle stream supplies the
   // layer -> priority map.
@@ -669,13 +801,14 @@ class Walker {
   /// back to a plain-gap attribution).
   int resolve_gate(int worker, int layer, std::int64_t iter) {
     if (iter <= 0) return kGateUnresolved;
-    const auto [lo, hi] =
-        entries(g_.param_ready, gate_key(worker, layer, iter - 1));
+    const Ids run = records_under(*g_.records, g_.lookups, kReadyLookup,
+                                  ready_fields(worker, layer, iter - 1));
     // Binding slice: latest param-ready at or before the gate release.
-    const Keyed* ready = last_at_or_before(lo, hi, cursor_ + kEps);
+    const LifecycleRecord* ready =
+        last_at_or_before(*g_.records, run, cursor_ + kEps);
     if (ready == nullptr) return kGateUnresolved;
     const double pr = ready->t;
-    const std::int64_t slice = ready->value;
+    const std::int64_t slice = ready->slice;
     take(pr, Blame::kOther);  // gate release -> span start sliver
     current_worker_ = -1;
     if (!resolve_param_arrival(worker, slice, layer, iter - 1)) return -1;
@@ -765,12 +898,13 @@ class Walker {
   bool resolve_contribution(int server, std::int64_t slice, int layer,
                             std::int64_t round) {
     if (done()) return true;
-    const auto [lo, hi] =
-        entries(g_.server_recv, slice_iter_key(slice, round));
-    const Keyed* recv = last_at_or_before(lo, hi, cursor_ + kEps);
+    const Ids run = records_under(*g_.records, g_.lookups, kRecvLookup,
+                                  recv_fields(slice, round));
+    const LifecycleRecord* recv =
+        last_at_or_before(*g_.records, run, cursor_ + kEps);
     if (recv == nullptr) return stall_chain();
     const double sr = recv->t;
-    const int contributor = static_cast<int>(recv->value);
+    const int contributor = recv->worker;
     take(sr, Blame::kServer);
     // The push's rx completion precedes the rxq pop: direct ("gL") or
     // rack-combined ("aL").
@@ -972,15 +1106,11 @@ class Walker {
   /// false if there are none.
   bool group(int worker, std::int64_t slice, std::int64_t iter,
              Lifecycle& out) const {
-    const std::int64_t key = group_key(worker, slice, iter);
-    auto it = std::lower_bound(
-        g_.groups.begin(), g_.groups.end(), key,
-        [](const std::pair<std::int64_t, std::uint32_t>& e, std::int64_t k) {
-          return e.first < k;
-        });
-    if (it == g_.groups.end() || it->first != key) return false;
-    for (; it != g_.groups.end() && it->first == key; ++it) {
-      const LifecycleRecord& r = (*g_.records)[it->second];
+    const Ids run = records_under(*g_.records, g_.lookups, kGroupLookup,
+                                  group_fields(worker, slice, iter));
+    if (run.empty()) return false;
+    for (const std::uint32_t i : run) {
+      const LifecycleRecord& r = (*g_.records)[i];
       const auto st = static_cast<std::size_t>(r.stage);
       if (out.n[st] == 0 || r.t < out.first[st]) out.first[st] = r.t;
       ++out.n[st];

@@ -73,6 +73,25 @@ std::string num(double v) {
   return buf;
 }
 
+/// The id the next entry of a table of `size` entries gets.
+std::uint32_t next_id(std::size_t size, const char* table) {
+  if (size >= kMaxInternedIds) {
+    throw std::length_error(std::string("trace ") + table +
+                            " table is full: ids must stay below 2^29");
+  }
+  return static_cast<std::uint32_t>(size);
+}
+
+/// `v` as the lifecycle record field `field` of type T, which must hold it.
+template <class T>
+T narrow(std::int64_t v, const char* field) {
+  if (v < std::numeric_limits<T>::min() || v > std::numeric_limits<T>::max()) {
+    throw std::out_of_range("lifecycle " + std::string(field) + " " +
+                            std::to_string(v) + " does not fit its record");
+  }
+  return static_cast<T>(v);
+}
+
 }  // namespace
 
 const char* stage_name(Stage stage) {
@@ -135,7 +154,7 @@ std::vector<std::uint32_t> Tracer::by_start(const IdList<TimeS>& list) const {
 std::uint32_t Tracer::track(const std::string& lane) {
   auto it = track_ids_.find(lane);
   if (it != track_ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(tracks_.size());
+  const auto id = next_id(tracks_.size(), "track");
   const auto dot = lane.find('.');
   tracks_.push_back(
       Track{lane, dot == std::string::npos ? lane : lane.substr(0, dot)});
@@ -147,7 +166,7 @@ std::uint32_t Tracer::track(const std::string& lane) {
 std::uint32_t Tracer::label(const std::string& text) {
   auto it = label_ids_.find(text);
   if (it != label_ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(labels_.size());
+  const auto id = next_id(labels_.size(), "label");
   labels_.push_back(text);
   label_ids_.emplace(text, id);
   return id;
@@ -218,12 +237,16 @@ void Tracer::lifecycle(Stage stage, int worker, std::int64_t slice, int layer,
                        std::int64_t iteration, int priority, Bytes bytes,
                        TimeS t) {
   if (!enabled_) return;
-  lifecycle_.push_back(LifecycleRecord{stage, worker,
-                                       static_cast<std::int32_t>(slice),
-                                       static_cast<std::int32_t>(layer),
-                                       iteration,
-                                       static_cast<std::int32_t>(priority),
-                                       bytes, t});
+  LifecycleRecord r;
+  r.stage = stage;
+  r.worker = narrow<std::int16_t>(worker, "worker");
+  r.layer = narrow<std::int16_t>(layer, "layer");
+  r.priority = narrow<std::int16_t>(priority, "priority");
+  r.slice = narrow<std::int32_t>(slice, "slice");
+  r.iteration = narrow<std::int32_t>(iteration, "iteration");
+  r.bytes = bytes;
+  r.t = t;
+  lifecycle_.push_back(r);
 }
 
 void Tracer::clear() {

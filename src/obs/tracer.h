@@ -13,8 +13,11 @@
 // Perfetto process, the full name becomes the thread, so every node's
 // channels group together in the UI.
 //
-// Cost model: every record appends one 32-byte event to a log of fixed-size
-// chunks that never move; strings live only in the track and label tables.
+// Cost model: every record appends one 24-byte event to a log of fixed-size
+// chunks that never move; strings live only in the track and label tables,
+// whose ids stay below 2^29 (the event kind shares the label id's word).
+// Each lifecycle transition appends one 32-byte record to a vector whose
+// narrowed fields are checked on the way in.
 // As it appends, the tracer files the event's id under its track (spans,
 // flow ends) or in the flow-start list and notes whether that list stayed
 // in start (flow id) order, so readers such as the critical-path engine and
@@ -70,17 +73,24 @@ const char* stage_name(Stage stage);
 /// Inverse of `stage_name`; throws std::invalid_argument on unknown names.
 Stage parse_stage(const std::string& name);
 
-/// One lifecycle stage transition of (worker, slice, iteration).
+/// One lifecycle stage transition of (worker, slice, iteration), in 32
+/// bytes. Each field is as narrow as the values the simulator records:
+/// workers and layers number at most a few hundred, and a slice's priority
+/// is its layer's forward index (or 0), so those are 16-bit; slice and
+/// iteration are 32-bit. Tracer::lifecycle and load_lifecycle_csv reject a
+/// value that does not fit instead of truncating it.
 struct LifecycleRecord {
   Stage stage = Stage::kGradReady;
-  int worker = 0;
+  std::int16_t worker = 0;
+  std::int16_t layer = 0;
+  std::int16_t priority = 0;
   std::int32_t slice = 0;
-  std::int32_t layer = 0;
-  std::int64_t iteration = 0;
-  std::int32_t priority = 0;
+  std::int32_t iteration = 0;
   Bytes bytes = 0;  ///< payload bytes for kEnqueue/kSend fragments, else 0
   TimeS t = 0.0;
 };
+static_assert(sizeof(LifecycleRecord) == 32,
+              "a lifecycle record must stay compact");
 
 /// Deterministic correlation id for one slice's round trip. Threaded through
 /// net::Message so the network layer can attribute wire activity without
@@ -96,15 +106,20 @@ enum class EventKind : std::uint8_t {
   kFlowEnd,    ///< head of a flow arrow
 };
 
-/// Compact event record (32 bytes); strings live in the intern tables. The
-/// end time of a span, the value of a counter and the id of a flow arrow
-/// share one slot, so each is read through an accessor that returns the
-/// neutral value for every other kind.
+/// Track and label ids stay below this bound: the label id shares its 32-bit
+/// word with the event kind.
+inline constexpr std::uint32_t kMaxInternedIds = std::uint32_t{1} << 29;
+
+/// Compact event record (24 bytes); strings live in the intern tables. The
+/// kind sits in the top three bits of the label id's word. The end time of
+/// a span, the value of a counter and the id of a flow arrow share one
+/// slot, so each is read through an accessor that returns the neutral value
+/// for every other kind.
 struct Event {
   TimeS t0 = 0.0;
-  std::uint32_t track = 0;  ///< index into tracks()
-  std::uint32_t label = 0;  ///< index into labels()
-  EventKind kind = EventKind::kSpan;
+  std::uint32_t track = 0;      ///< index into tracks()
+  std::uint32_t label : 29 = 0;  ///< index into labels()
+  EventKind kind : 3 = EventKind::kSpan;
 
   /// Spans: end time; other kinds: t0.
   TimeS t1() const { return kind == EventKind::kSpan ? t1_ : t0; }
@@ -125,7 +140,7 @@ struct Event {
     std::int64_t flow_;
   };
 };
-static_assert(sizeof(Event) <= 32, "an event record must stay compact");
+static_assert(sizeof(Event) == 24, "an event record must stay compact");
 
 /// Append-only event log in fixed-size chunks. A chunk never moves, so a
 /// record keeps its address for the life of the log, and growing the log
@@ -133,7 +148,7 @@ static_assert(sizeof(Event) <= 32, "an event record must stay compact");
 /// record order.
 class EventLog {
  public:
-  /// Records per chunk: 32K records of 32 bytes, 1 MiB.
+  /// Records per chunk: 32K records of 24 bytes, 768 KiB.
   static constexpr std::size_t kChunkRecords = std::size_t{1} << 15;
 
   class const_iterator {
@@ -235,8 +250,9 @@ class Tracer {
   void set_enabled(bool on) { enabled_ = on; }
 
   /// Intern a track; repeated calls with the same name return the same id.
+  /// Interning past kMaxInternedIds tracks throws std::length_error.
   std::uint32_t track(const std::string& lane);
-  /// Intern a label string.
+  /// Intern a label string; the same cap applies.
   std::uint32_t label(const std::string& text);
 
   /// Id cache for hot call sites: `key` stands for one name of the family
@@ -270,6 +286,8 @@ class Tracer {
                 const std::string& label_text);
   void flow_end(std::uint32_t track_id, TimeS t, std::int64_t flow_id,
                 std::uint32_t label_id);
+  /// Records one lifecycle transition. A worker, layer or priority outside
+  /// int16, or a slice or iteration outside int32, throws std::out_of_range.
   void lifecycle(Stage stage, int worker, std::int64_t slice, int layer,
                  std::int64_t iteration, int priority, Bytes bytes, TimeS t);
 

@@ -58,9 +58,12 @@ void Simulator::enqueue(Key k) {
 }
 
 void Simulator::enqueue_reserved(Key k) {
-  const TimeS t = time_of(k);
-  const bool in_batch = dispatching_ && t == now_;
-  if (t < now_ || (in_batch && seq_of(k) < seq_of(batch_[cursor_]))) {
+  const bool in_batch = dispatching_ && time_of(k) == now_;
+  // Inside the open batch every member before the running one has passed;
+  // elsewhere, every slot below unpassed_. Keys without their slot bits
+  // compare in (time, seq) order.
+  const Key first_open = in_batch ? batch_[cursor_] >> kSlotBits : unpassed_;
+  if ((k >> kSlotBits) < first_open) {
     slots_[slot_of(k)] = EventFn();
     free_slots_.push_back(slot_of(k));
     throw std::logic_error("reserved event slot has already been passed");
@@ -155,6 +158,7 @@ bool Simulator::dispatch(TimeS limit, const std::function<bool()>* done) {
       batch_.push_back(heap_pop());
     }
     now_ = t;
+    unpassed_ = first_slot_at(t);
     dispatching_ = true;
     // batch_ may grow while we iterate: same-time events scheduled by a batch
     // member join it behind the cursor (see enqueue() and
@@ -182,6 +186,8 @@ void Simulator::close_batch() {
   for (std::size_t j = cursor_ + 1; j < batch_.size(); ++j) {
     heap_push(batch_[j]);
   }
+  // The member at the cursor ran last (or threw); past the end, the last.
+  unpassed_ = (batch_[std::min(cursor_, batch_.size() - 1)] >> kSlotBits) + 1;
   batch_.clear();
   dispatching_ = false;
 }
@@ -193,7 +199,10 @@ void Simulator::run() {
 
 TimeS Simulator::run_until(TimeS t) {
   dispatch(t, nullptr);
-  if (now_ < t) now_ = t;
+  if (now_ < t) {
+    now_ = t;
+    unpassed_ = first_slot_at(t);
+  }
   reap_tasks();
   return now_;
 }

@@ -214,8 +214,9 @@ class Simulator {
   static TimeS time_of(Key k) {
     return std::bit_cast<TimeS>(static_cast<std::uint64_t>(k >> 64));
   }
-  static std::uint64_t seq_of(Key k) {
-    return static_cast<std::uint64_t>(k) >> kSlotBits;
+  /// The first (time, seq) slot at time `t`, shifted like unpassed_.
+  static Key first_slot_at(TimeS t) {
+    return make_key(t, 0, 0) >> kSlotBits;
   }
   static std::uint32_t slot_of(Key k) {
     return static_cast<std::uint32_t>(static_cast<std::uint64_t>(k) &
@@ -257,6 +258,10 @@ class Simulator {
   std::vector<Key> batch_;    ///< reused dispatch buffer, sorted by seq
   std::size_t cursor_ = 0;    ///< index of the running batch member
   bool dispatching_ = false;  ///< a batch at time now_ is being run
+  /// The first (time, seq) slot the dispatch order has not passed, as a key
+  /// shifted past its slot bits: the first slot at now() when time
+  /// advances, and the one after the last event run when a batch closes.
+  Key unpassed_ = 0;
   std::vector<Task::Handle> tasks_;
 };
 

@@ -21,10 +21,10 @@ LifecycleRecord rec(Stage stage, int worker, std::int32_t slice,
                     Bytes bytes = 0) {
   LifecycleRecord r;
   r.stage = stage;
-  r.worker = worker;
+  r.worker = static_cast<std::int16_t>(worker);
   r.slice = slice;
-  r.iteration = iteration;
-  r.priority = static_cast<std::int32_t>(priority);
+  r.iteration = static_cast<std::int32_t>(iteration);
+  r.priority = static_cast<std::int16_t>(priority);
   r.bytes = bytes;
   r.t = t;
   return r;
@@ -178,12 +178,31 @@ TEST(LoadLifecycleCsv, MissingFileThrows) {
 TEST(LoadLifecycleCsv, MalformedRowThrows) {
   const std::string path =
       ::testing::TempDir() + "/obs_analysis_test_malformed.csv";
-  {
-    std::ofstream out(path);
-    out << "stage,worker,slice,layer,iteration,priority,bytes,t\n";
-    out << "send,0,1\n";  // 3 fields instead of 8
-  }
-  EXPECT_THROW(load_lifecycle_csv(path), std::runtime_error);
+  const auto expect_rejected = [&path](const std::string& row) {
+    {
+      std::ofstream out(path);
+      out << "stage,worker,slice,layer,iteration,priority,bytes,t\n";
+      out << "send,0,1,0,0,0,64,0.5\n";
+      out << row << "\n";
+    }
+    try {
+      load_lifecycle_csv(path);
+      ADD_FAILURE() << "accepted row: " << row;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":3: "), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected("send,0,1");  // 3 fields instead of 8
+  // A slice past int32 must not wrap, and a field must parse whole.
+  expect_rejected("send,0,4294967297,0,0,0,64,0.5");
+  expect_rejected("send,0,7x,0,0,0,64,0.5");
+  // Each narrowed field rejects what its record cannot hold.
+  expect_rejected("send,32768,1,0,0,0,64,0.5");
+  expect_rejected("send,0,1,-32769,0,0,64,0.5");
+  expect_rejected("send,0,1,0,2147483648,0,64,0.5");
+  expect_rejected("send,0,1,0,0,40000,64,0.5");
+  expect_rejected("send,0,1,0,0,0,64,0.5s");
   std::remove(path.c_str());
 }
 

@@ -91,9 +91,11 @@ Pin pin_of(const Tracer& t, const BlameReport& blame) {
   pin.lifecycle = t.lifecycle_records().size();
   Fnv ev;
   for (const Event& e : t.events()) {
+    // Each field is hashed at the width it was pinned at: kind 8-bit, ids
+    // 32-bit.
     ev.pod(static_cast<std::uint8_t>(e.kind));
-    ev.pod(e.track);
-    ev.pod(e.label);
+    ev.pod(std::uint32_t{e.track});
+    ev.pod(std::uint32_t{e.label});
     ev.f64(e.t0);
     ev.f64(e.t1());
     ev.f64(e.value());
@@ -109,13 +111,15 @@ Pin pin_of(const Tracer& t, const BlameReport& blame) {
   pin.tables_digest = tables.value();
   Fnv lc;
   for (const LifecycleRecord& r : t.lifecycle_records()) {
+    // Pinned when worker was an int, layer and priority 32-bit and
+    // iteration 64-bit: hash each field at that width.
     lc.pod(static_cast<std::uint8_t>(r.stage));
-    lc.pod(r.worker);
-    lc.pod(r.slice);
-    lc.pod(r.layer);
-    lc.pod(r.iteration);
-    lc.pod(r.priority);
-    lc.pod(r.bytes);
+    lc.pod(int{r.worker});
+    lc.pod(std::int32_t{r.slice});
+    lc.pod(std::int32_t{r.layer});
+    lc.pod(std::int64_t{r.iteration});
+    lc.pod(std::int32_t{r.priority});
+    lc.pod(std::int64_t{r.bytes});
     lc.f64(r.t);
   }
   pin.lifecycle_digest = lc.value();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <sstream>
@@ -195,6 +196,52 @@ TEST(Tracer, LifecycleCsvRoundTrip) {
   EXPECT_EQ(records[1].bytes, 4096);
 }
 
+TEST(Tracer, LifecycleKeepsEveryFieldAtItsLimits) {
+  Tracer t;
+  t.lifecycle(Stage::kSend, 32767, 2147483647, 32767, 2147483647, 32767,
+              std::int64_t{1} << 40, 1.5);
+  t.lifecycle(Stage::kSend, -32768, -2147483647 - 1, -32768,
+              -2147483647 - 1, -32768, 0, 2.5);
+  ASSERT_EQ(t.lifecycle_records().size(), 2u);
+  const LifecycleRecord& hi = t.lifecycle_records()[0];
+  EXPECT_EQ(hi.worker, 32767);
+  EXPECT_EQ(hi.slice, 2147483647);
+  EXPECT_EQ(hi.layer, 32767);
+  EXPECT_EQ(hi.iteration, 2147483647);
+  EXPECT_EQ(hi.priority, 32767);
+  EXPECT_EQ(hi.bytes, std::int64_t{1} << 40);
+  const LifecycleRecord& lo = t.lifecycle_records()[1];
+  EXPECT_EQ(lo.worker, -32768);
+  EXPECT_EQ(lo.slice, -2147483647 - 1);
+  EXPECT_EQ(lo.iteration, -2147483647 - 1);
+}
+
+TEST(Tracer, LifecycleRejectsValuesOutsideTheirFields) {
+  Tracer t;
+  EXPECT_THROW(t.lifecycle(Stage::kSend, 32768, 0, 0, 0, 0, 0, 0.0),
+               std::out_of_range);
+  EXPECT_THROW(t.lifecycle(Stage::kSend, 0, std::int64_t{1} << 32, 0, 0, 0, 0,
+                           0.0),
+               std::out_of_range);
+  EXPECT_THROW(t.lifecycle(Stage::kSend, 0, 0, -32769, 0, 0, 0, 0.0),
+               std::out_of_range);
+  EXPECT_THROW(t.lifecycle(Stage::kSend, 0, 0, 0, std::int64_t{1} << 31, 0, 0,
+                           0.0),
+               std::out_of_range);
+  EXPECT_THROW(t.lifecycle(Stage::kSend, 0, 0, 0, 0, 40000, 0, 0.0),
+               std::out_of_range);
+  // Nothing is recorded by a rejected call.
+  EXPECT_TRUE(t.lifecycle_records().empty());
+  try {
+    t.lifecycle(Stage::kSend, 0, 4294967297, 0, 0, 0, 0, 0.0);
+    ADD_FAILURE() << "slice 4294967297 was accepted";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("slice 4294967297"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Tracer, ClearEmptiesEverything) {
   Tracer t;
   t.span("w0.cmp", 0.0, 1.0, "F1");
@@ -300,7 +347,21 @@ std::vector<std::uint32_t> stable_by_start(const Tracer& t,
   return ids;
 }
 
-TEST(TracerLog, RecordSizeIsCompact) { EXPECT_LE(sizeof(Event), 32u); }
+TEST(TracerLog, RecordSizeIsCompact) {
+  EXPECT_EQ(sizeof(Event), 24u);
+  EXPECT_EQ(sizeof(LifecycleRecord), 32u);
+  EXPECT_EQ(EventLog::kChunkRecords * sizeof(Event), 768u * 1024u);
+}
+
+TEST(TracerLog, KindKeepsItsBitsBesideTheLargestLabelId) {
+  Tracer t;
+  t.flow_end(t.track("n0.tx"), 1.0, 7, t.label("a"));
+  Event e = t.events()[0];
+  e.label = kMaxInternedIds - 1;
+  EXPECT_EQ(e.label, kMaxInternedIds - 1);
+  EXPECT_EQ(e.kind, EventKind::kFlowEnd);
+  EXPECT_EQ(e.flow(), 7);
+}
 
 TEST(TracerLog, ReadsBackInRecordOrderAcrossChunks) {
   Tracer t;

@@ -427,9 +427,27 @@ TEST(Simulator, FillingAPassedReservationThrows) {
   });
   sim.run();
   EXPECT_TRUE(threw_in_batch);
+  // With no batch open, the slot is still behind the event that ran at 1.0,
+  // although its time is now().
+  ASSERT_EQ(sim.now(), 1.0);
+  EXPECT_THROW(sim.schedule_reserved(at_one, [] {}), std::logic_error);
   const Simulator::Reservation at_zero{0.5, at_one.seq};
   EXPECT_THROW(sim.schedule_reserved(at_zero, [] {}), std::logic_error);
   EXPECT_TRUE(sim.idle());
+}
+
+TEST(Simulator, ReservationAfterTheLastRunEventStillRuns) {
+  Simulator sim;
+  std::vector<int> order;
+  const Simulator::Reservation early = sim.reserve_at(5.0);
+  sim.schedule_at(5.0, [&] { order.push_back(1); });
+  const Simulator::Reservation late = sim.reserve_at(5.0);
+  sim.run_until(5.0);
+  EXPECT_THROW(sim.schedule_reserved(early, [&] { order.push_back(0); }),
+               std::logic_error);
+  sim.schedule_reserved(late, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(Simulator, LargeCallbacksFallBackToTheHeapCorrectly) {
